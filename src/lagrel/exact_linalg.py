@@ -1,10 +1,12 @@
 """Exact rational linear algebra: canonical subspaces, forms, quotients.
 
-Everything is computed over Q.  Fractions appear at the interfaces; inside,
-subspaces are held as primitive-integer reduced-row-echelon rows so that two
-equal subspaces always have identical (and identically hashable)
-representations, no matter how they were constructed.  No floating point
-anywhere.
+Everything is computed over Q with one integer elimination kernel,
+`_echelon`, which keeps primitive-integer reduced-row-echelon rows.  Two
+equal subspaces therefore have identical (and identically hashable)
+representations, no matter how they were constructed.  Rank, nullspaces,
+intersections, inverses and linear solves all run through it.  `Fraction`
+appears only where data enters (`rational`, `_int_rows`) and where results
+are read out (`solve_right`, `Subspace.basis`).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ def rational(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -42,10 +47,6 @@ def as_vector(items: Iterable[Rational]) -> Vector:
 
 def vector_to_payload(vec: Sequence[Rational]) -> list[str]:
     return [format_rational(x) for x in vec]
-
-
-def vector_from_payload(payload: Sequence[Rational]) -> Vector:
-    return as_vector(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,12 @@ def _int_rows(vectors: Iterable[Sequence[Rational]]) -> list[list[int]]:
             m = lcm(m, x.denominator)
         out.append([int(x * m) for x in fr])
     return out
+
+
+def _int_matrix(entries: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[IntRow, ...]]:
+    """Common denominator d of a whole matrix M, and the integer matrix d*M."""
+    scale = lcm(*(x.denominator for row in entries for x in row))
+    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries)
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntRow, ...]:
@@ -152,13 +159,14 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
     for j in range(ncols):
         if j in pivset:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for r, c in zip(ech, pivots):
-            if r[j]:
-                vec[c] = Fraction(-r[j], r[c])
+        hits = [(r, c) for r, c in zip(ech, pivots) if r[j]]
+        scale = lcm(*(r[c] for r, c in hits))
+        vec = [0] * ncols
+        vec[j] = scale
+        for r, c in hits:
+            vec[c] = -r[j] * (scale // r[c])
         out.append(vec)
-    return _echelon(_int_rows(out))
+    return _echelon(out)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +201,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(((1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
-
-    @classmethod
-    def from_int_rows(cls, rows: Iterable[Sequence[int]], cols: int) -> "Matrix":
-        return cls(rows, cols=cols)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -243,20 +247,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        n = self.rows
-        work = [list(self.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            work[col], work[piv] = work[piv], work[col]
-            p = work[col][col]
-            work[col] = [x / p for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    a = work[r][col]
-                    work[r] = [x - a * y for x, y in zip(work[r], work[col])]
-        return Matrix((row[n:] for row in work), cols=n)
+        return _solve(self, Matrix.identity(self.rows), "singular matrix")
 
     def __eq__(self, other) -> bool:
         return (
@@ -283,34 +274,26 @@ def matrix_from_payload(payload: Sequence[Sequence[Rational]], cols: int | None 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon basis of the row space (zero rows dropped)."""
-    ech = _echelon(_int_rows(m.entries))
-    frac_rows = [tuple(Fraction(x, r[_pivot(r)]) for x in r) for r in ech]
-    return Matrix(frac_rows, cols=m.cols)
+    return Subspace.from_vectors(m.entries, ambient_dim=m.cols).basis
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix:
     """Unique exact solution X of A X = B; A must have full column rank."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    work = [list(a.entries[i]) + list(b.entries[i]) for i in range(a.rows)]
-    pivot_rows: list[int] = []
-    for col in range(a.cols):
-        piv = next((r for r in range(len(pivot_rows), a.rows) if work[r][col]), None)
-        if piv is None:
-            raise ValueError("coefficient matrix does not have full column rank")
-        work[len(pivot_rows)], work[piv] = work[piv], work[len(pivot_rows)]
-        r0 = len(pivot_rows)
-        p = work[r0][col]
-        work[r0] = [x / p for x in work[r0]]
-        for r in range(a.rows):
-            if r != r0 and work[r][col]:
-                coef = work[r][col]
-                work[r] = [x - coef * y for x, y in zip(work[r], work[r0])]
-        pivot_rows.append(r0)
-    for r in range(a.cols, a.rows):
-        if any(work[r][a.cols:]):
-            raise ValueError("inconsistent linear system")
-    return Matrix((work[r][a.cols:] for r in range(a.cols)), cols=b.cols)
+    return _solve(a, b, "coefficient matrix does not have full column rank")
+
+
+def _solve(a: Matrix, b: Matrix, rank_error: str) -> Matrix:
+    """Echelon [A | B] once; with pivots 0..n-1 exactly, row i reads off X[i]."""
+    n = a.cols
+    ech = _echelon(_int_rows(ra + rb for ra, rb in zip(a.entries, b.entries)))
+    pivots = [_pivot(r) for r in ech]
+    if pivots[:n] != list(range(n)):
+        raise ValueError(rank_error)
+    if len(ech) > n:
+        raise ValueError("inconsistent linear system")
+    return Matrix((tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(ech)), cols=b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +414,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n, _echelon(inter), _canonical=True)
 
 
-def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subset of a."""
-    return a.contains(b)
-
-
-def equals(a: Subspace, b: Subspace) -> bool:
-    return a == b
-
-
 def subspace_to_payload(s: Subspace) -> dict:
     return {"ambient_dim": s.ambient_dim, "basis": matrix_to_payload(s.basis)}
 
@@ -466,11 +440,7 @@ class BilinearForm:
             raise ValueError("Gram matrix must be symmetric")
         if gram.rank() != gram.rows:
             raise ValueError("Gram matrix must be invertible (nondegenerate form)")
-        scale = 1
-        for row in gram.entries:
-            for x in row:
-                scale = lcm(scale, x.denominator)
-        int_gram = tuple(tuple(int(x * scale) for x in row) for row in gram.entries)
+        _, int_gram = _int_matrix(gram.entries)
         object.__setattr__(self, "dim", gram.rows)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "int_gram", int_gram)

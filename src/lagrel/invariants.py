@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, count
-from math import lcm
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -22,6 +21,7 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
+    _int_matrix,
     _int_rows,
     _nullspace,
     _pivot,
@@ -30,6 +30,7 @@ from .exact_linalg import (
     format_rational,
     quotient,
     rational,
+    solve_right,
 )
 from .linear_relations import Isometry, diagonal
 from .relation_monoid import LagrangianEquivalenceRelation
@@ -144,34 +145,20 @@ class Polynomial:
         """Substitute x_i = sum_j m[i][j] t_j; result lives in m.cols variables."""
         if m.rows != self.num_vars:
             raise ValueError("substitution matrix has the wrong number of rows")
-        p = m.cols
-        cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-            (0,) * self.num_vars: {(0,) * p: Fraction(1)}
-        }
-
-        def expand(exp: tuple[int, ...]) -> dict:
-            found = cache.get(exp)
-            if found is not None:
-                return found
-            i = next(k for k, v in enumerate(exp) if v)
-            prev_exp = tuple(v - 1 if k == i else v for k, v in enumerate(exp))
-            prev = expand(prev_exp)
-            acc: dict = {}
-            row = m.entries[i]
-            for texp, c in prev.items():
-                for j in range(p):
-                    w = row[j]
-                    if w:
-                        key = tuple(v + 1 if k == j else v for k, v in enumerate(texp))
-                        acc[key] = acc.get(key, Fraction(0)) + c * w
-            cache[exp] = acc
-            return acc
-
+        if not self.num_vars:  # no rows to tell _int_substitution the width
+            return Polynomial(m.cols, {(0,) * m.cols: c for c in self.terms.values()})
+        scale, m_int = _int_matrix(m.entries)
         terms: dict = {}
-        for e, c in self.terms.items():
-            for texp, w in expand(e).items():
-                terms[texp] = terms.get(texp, Fraction(0)) + c * w
-        return Polynomial(p, terms)
+        for d in sorted({sum(e) for e in self.terms}):
+            sub = _int_substitution(m_int, d)
+            acc: dict = {}
+            for e, c in self.terms.items():
+                if sum(e) == d:
+                    for texp, w in sub[e].items():
+                        acc[texp] = acc.get(texp, 0) + c * w
+            factor = scale ** d
+            terms.update((texp, v / factor) for texp, v in acc.items())
+        return Polynomial(m.cols, terms)
 
     def leading_monomial(self) -> tuple[int, ...]:
         """Largest monomial in graded lexicographic order."""
@@ -389,11 +376,7 @@ def weyl_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynom
     for s in group:
         if s.is_identity() or not basis:
             continue
-        scale = 1
-        for row in s.matrix.entries:
-            for x in row:
-                scale = lcm(scale, x.denominator)
-        m_int = [[int(x * scale) for x in row] for row in s.matrix.entries]
+        scale, m_int = _int_matrix(s.matrix.entries)
         sub = _int_substitution(m_int, degree)
         factor = scale ** degree
         delta = {}
@@ -491,48 +474,12 @@ def restriction_map(relation: LagrangianEquivalenceRelation, v0: Subspace, degre
     t_mons = monomials(q.dim, degree)
     t_index = {e: i for i, e in enumerate(t_mons)}
     target_rows = [p.coefficient_row(t_index, len(t_mons)) for p in target]
-    cols = []
-    for f in source:
-        image = f.compose_linear(q.section)
-        vec = image.coefficient_row(t_index, len(t_mons))
-        cols.append(_solve_in_span(target_rows, vec))
-    if not source:
-        return Matrix(((),) * len(target), cols=0) if target else Matrix((), cols=0)
-    if not target:
-        return Matrix((), cols=len(source))
-    return Matrix(zip(*cols), cols=len(source))
-
-
-def _solve_in_span(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    """Coordinates of vec in the span of basis_rows (raises if outside)."""
-    if not basis_rows:
-        if any(vec):
-            raise ValueError("vector outside the span")
-        return []
-    width = len(vec)
-    k = len(basis_rows)
-    work = [list(basis_rows[j]) + [Fraction(1 if t == j else 0) for t in range(k)] for j in range(k)]
-    target = list(vec) + [Fraction(0)] * k
-    pivots = []
-    for col in range(width):
-        piv = next((r for r in range(len(pivots), k) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[len(pivots)], work[piv] = work[piv], work[len(pivots)]
-        r0 = len(pivots)
-        p = work[r0][col]
-        work[r0] = [x / p for x in work[r0]]
-        for r in range(k):
-            if r != r0 and work[r][col]:
-                a = work[r][col]
-                work[r] = [x - a * y for x, y in zip(work[r], work[r0])]
-        if target[col]:
-            a = target[col]
-            target = [x - a * y for x, y in zip(target, work[r0])]
-        pivots.append(col)
-    if any(target[:width]):
-        raise ValueError("vector outside the span")
-    return [-x for x in target[width:]]
+    images = [f.compose_linear(q.section).coefficient_row(t_index, len(t_mons)) for f in source]
+    # columns: the target basis, and one right-hand side per source image
+    return solve_right(
+        Matrix(target_rows, cols=len(t_mons)).transpose(),
+        Matrix(images, cols=len(t_mons)).transpose(),
+    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .exact_linalg import (
     orth_complement,
     quotient,
     solve_right,
-    vector_from_payload,
     vector_to_payload,
 )
 from .linear_relations import (
@@ -654,5 +653,5 @@ def rootsystem_to_payload(rs: RootSystem) -> dict:
 def rootsystem_from_payload(payload: dict) -> RootSystem:
     gram = payload["gram"]
     form = BilinearForm(matrix_from_payload(gram, cols=len(gram)))
-    roots = [vector_from_payload(r) for r in payload["roots"]]
+    roots = [as_vector(r) for r in payload["roots"]]
     return RootSystem(form, roots)

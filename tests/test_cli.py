@@ -224,3 +224,22 @@ def test_verify_monoid_suite_small_seeded(capsys):
 
     results = suite_monoid(seed=1, pairs=60)
     assert all(bad == 0 for _, bad in results.values())
+
+
+def test_zero_denominator_on_command_line_exit_1(tmp_path, capsys):
+    path = build_gl11(tmp_path, capsys)
+    code, out, err = run(capsys, "separate", str(path), "--x", "1/0,0", "--y", "0,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "1/0" in err
+
+
+def test_zero_denominator_in_root_system_file_exit_1(tmp_path, capsys):
+    path = build_gl11(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    payload["roots"][0][0] = "1/0"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "1/0" in err

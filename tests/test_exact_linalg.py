@@ -13,8 +13,6 @@ from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
     Subspace,
-    contains,
-    equals,
     format_rational,
     matrix_from_payload,
     matrix_to_payload,
@@ -77,8 +75,8 @@ def test_grassmann_dimension_formula(rows_a, rows_b):
     s = subspace_sum(a, b)
     i = subspace_intersect(a, b)
     assert s.dim + i.dim == a.dim + b.dim
-    assert contains(s, a) and contains(s, b)
-    assert contains(a, i) and contains(b, i)
+    assert s.contains(a) and s.contains(b)
+    assert a.contains(i) and b.contains(i)
 
 
 @settings(max_examples=30, deadline=None)
@@ -89,7 +87,7 @@ def test_canonical_under_row_shuffle(rows, rnd):
     rnd.shuffle(shuffled)
     scaled = [[2 * x for x in r] for r in shuffled]
     b = Subspace.from_vectors(scaled, ambient_dim=4)
-    assert equals(a, b)
+    assert a == b
     assert a.basis == b.basis
 
 

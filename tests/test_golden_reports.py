@@ -1,0 +1,110 @@
+"""Byte-level pins of every CLI report kind on three small catalog systems.
+
+Each case runs `lagrel.cli.main` in-process with `--out` and compares the
+sha256 of the written report with a digest recorded before the exact kernel
+was unified.  A refactor of the linear algebra or the polynomial code must
+leave all of them unchanged; a deliberate output change must re-record them
+and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from lagrel.cli import main
+
+# system -> (unrelated pair, related pair), as comma-separated rationals
+POINTS = {
+    "gl-1-1": (("1,0", "0,1"), ("0,0", "2,-2")),
+    "gl-2-1": (("1,0,0", "0,0,1"), ("1,0,1", "0,1,1")),
+    "gl-1-2": (("1,0,0", "0,1,0"), ("1/2,-1/2,5", "3,-3,5")),
+}
+
+
+def _cases(unrelated, related):
+    (x, y), (rx, ry) = unrelated, related
+    return {
+        "analyze": ["analyze", "--degree", "4", "--x", x, "--y", y],
+        "analyze related": ["analyze", "--degree", "4", "--x", rx, "--y", ry],
+        "invariants": ["invariants", "--degree", "4"],
+        "separate": ["separate", "--x", x, "--y", y],
+        "separate related": ["separate", "--x", rx, "--y", ry],
+        "discriminant": ["discriminant"],
+        "wgrs relation": ["wgrs", "relation"],
+        "wgrs reduce": ["wgrs", "reduce", "--root", "0"],
+        "wgrs classes": ["wgrs", "classes", "--v", x, "--vprime", y],
+        "wgrs classes related": ["wgrs", "classes", "--v", rx, "--vprime", ry],
+    }
+
+
+GOLDEN = {
+    "gl-1-1 catalog": "45420fb94427442831f0db006bf98d7d76cb20b535c845087c0b0f8474f62af1",
+    "gl-1-1 analyze": "48f4bd709143a5188e1bf1490939ca95bd7ccbe6f28879b52e830cdb15094fac",
+    "gl-1-1 analyze related": "f087a686bb6c6883400b024244ea74a04fb0add846facc2af9e998ffa6ee29be",
+    "gl-1-1 invariants": "a0ab22e6b56f0f9f4a861ba798e713574d32a6cf630be5213fd8a6ee59421817",
+    "gl-1-1 separate": "f307f62a31e1c2628df66dd55c8f7e58744b9be89da0a11ce0cc8a165410f123",
+    "gl-1-1 separate related": "e87a948835ee23c3334aecd8832f777143955efd687b0dc08cfb80ee2c49b827",
+    "gl-1-1 discriminant": "f1ed6b80eb50a7478b035a0551cbc7ec489d20245a3a29fc9f60cda0637ae068",
+    "gl-1-1 wgrs relation": "4dc1bb713ab6c2258fa419c8348f343c94eb91cc26be22aec3dbc66d5a7939fb",
+    "gl-1-1 wgrs reduce": "9a80edf4d188cf972677a18c24a8e2641955ba31f49e47f30a91611ae0d9afd9",
+    "gl-1-1 wgrs classes": "8e531e4bbd87efe5926d840bcff75684df5115e7d1c7941755fa9da9d948e77b",
+    "gl-1-1 wgrs classes related": "dd038dcea773fc7d2d2450f30d40db9c9734caa15d5a25b9d617999f85174ae4",
+    "gl-2-1 catalog": "e4c4950e943f1defea3ebb54c9370cd05823485dfbe5072511431272553460d7",
+    "gl-2-1 analyze": "a1c8ca98b54a5149f4a3e0074e702df2abd203716867f74bfe178a7c21dba1a5",
+    "gl-2-1 analyze related": "2e4a3e2080d4945136e7a71a4d31c7f5a0643274c6dd81febcb254fd1c6b0e8c",
+    "gl-2-1 invariants": "ff23d97dd839165eabbb17f693e758ae36b15cd2fab423c889adb3899342a2ba",
+    "gl-2-1 separate": "74453ec00a27725bc57dc13f5c20ae76c27b0088f27dc52f4a7ada9bdf262cc3",
+    "gl-2-1 separate related": "4af390cdc8d045fd745c8f306dcfb36d7a1e270e05355d0131452d92cfbd3d97",
+    "gl-2-1 discriminant": "c3e38564dc18f2126718750f488473c7a854064c6376a6e1fcf09d7fd3fdbef9",
+    "gl-2-1 wgrs relation": "2cb32af8b655360b9823d7c2fcb8c43f8af6fa667532e71c8918f27743552907",
+    "gl-2-1 wgrs reduce": "b09fd66aac67e601dac7e62540456b848fd28dfada41fdbd9c343b299fb7cfda",
+    "gl-2-1 wgrs classes": "fa10f5b8d1ebd21c54f0c9ec477b91a3d12bf71571ef0afa0467a325c40df624",
+    "gl-2-1 wgrs classes related": "5e0a4ec32f85fff049f8e8561e0192522e58d2d1ccbb2f71713a45ef713ec13d",
+    "gl-1-2 catalog": "5733ef35991cd73cc56778be9169ee25e58f5934e74b32a979d02ed1dd0815f1",
+    "gl-1-2 analyze": "f76f3778209649cb84d6642434e10742238e65dd4f00f95b8d240811a6b53018",
+    "gl-1-2 analyze related": "c553ac9e8c583785d98dc8d3b1e42b82a789e3c847eaf2bdcacfc2d224f79f3e",
+    "gl-1-2 invariants": "48f22d3fbd6d51e4f18aa8faf38f1e208006db05f4bb479943dd8642a9adfbbf",
+    "gl-1-2 separate": "df94a24a129c56fa94517cb432bec6eead6187cef528b85106c79a4b7612c42a",
+    "gl-1-2 separate related": "65969f5e42e95e97a22f01069c8b35a2cfe89ff574376503fa1ea56ef1ccda25",
+    "gl-1-2 discriminant": "c3458740020b3682d69e1dee1b23bad1b8ae28207178a4e869827b7e2495fe51",
+    "gl-1-2 wgrs relation": "7c98e9026d9c6bd49b7380c56ed4f2625856f31c2ca2f4b6dfec112aab64045c",
+    "gl-1-2 wgrs reduce": "6951b688f14cc3e4a72122457769825e127395285e3610a92894a3cc36c08cf6",
+    "gl-1-2 wgrs classes": "884fb0c17adc3e753c94eda95c4814ce9845d4e73983e24acf8cb21552ff495c",
+    "gl-1-2 wgrs classes related": "5085d95aa4be3ca18a7ec649f0aefce32b2637e73ca47464780091c391c52e29",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for system in POINTS:
+        _, m, n = system.split("-")
+        path = root / f"{system}.json"
+        assert main(["wgrs", "build", "gl", m, n, "--out", str(path)]) == 0
+        paths[system] = path
+    return paths
+
+
+@pytest.mark.parametrize("system", sorted(POINTS))
+def test_catalog_file_bytes(system, catalog_files):
+    assert _sha256(catalog_files[system]) == GOLDEN[f"{system} catalog"]
+
+
+@pytest.mark.parametrize("system", sorted(POINTS))
+def test_report_bytes(system, catalog_files, tmp_path):
+    mismatched = []
+    for name, argv in _cases(*POINTS[system]).items():
+        k = 2 if argv[0] == "wgrs" else 1  # the input file follows the command words
+        out = tmp_path / "report.json"
+        code = main(argv[:k] + [str(catalog_files[system])] + argv[k:] + ["--out", str(out)])
+        assert code == 0, name
+        if _sha256(out) != GOLDEN[f"{system} {name}"]:
+            mismatched.append(name)
+    assert mismatched == []

@@ -13,6 +13,7 @@ from lagrel.exact_linalg import (
     Subspace,
     _echelon,
     _int_rows,
+    orth_complement,
 )
 from lagrel.invariants import (
     Polynomial,
@@ -281,3 +282,50 @@ def test_graded_invariant_basis(gl11):
     assert graded.max_degree == 4
     assert graded.basis(0) == [Polynomial.one(2)]
     assert graded.verify()
+
+
+def test_compose_linear_matches_evaluation_with_fractions():
+    # non-integer substitution, non-homogeneous polynomial, more t-variables
+    # than x-variables: compare with evaluating at m t directly
+    rng = random.Random(5)
+
+    def frac():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+
+    for _ in range(25):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            deg = rng.randint(0, 4)
+            exp = [0] * n
+            for _ in range(deg):
+                exp[rng.randrange(n)] += 1
+            terms[tuple(exp)] = frac()
+        p = Polynomial(n, terms)
+        m = Matrix([[frac() for _ in range(k)] for _ in range(n)], cols=k)
+        q = p.compose_linear(m)
+        assert q.num_vars == k
+        for _ in range(5):
+            t = [frac() for _ in range(k)]
+            assert q.evaluate(t) == p.evaluate(m.apply(t))
+
+
+def test_compose_linear_with_zero_variables():
+    p = Polynomial(2, {(0, 0): Fraction(3, 2), (1, 1): 5})
+    assert p.compose_linear(Matrix([(), ()], cols=0)) == Polynomial(0, {(): Fraction(3, 2)})
+    c = Polynomial(0, {(): Fraction(3, 2)})
+    assert c.compose_linear(Matrix((), cols=2)) == Polynomial(2, {(0, 0): Fraction(3, 2)})
+
+
+def test_restriction_map_empty_source_and_target_shapes(gl11):
+    # gl(1|1) reduces to a point: every positive-degree target slice is empty
+    ok, witness = gl11.is_one_regular()
+    for d in range(1, 4):
+        m = restriction_map(gl11, witness, d)
+        assert (m.rows, m.cols) == (0, d)
+    # osp(2|2) has no degree-1 invariants on either side
+    rs = catalog("osp", 2, 2)
+    v0 = orth_complement(rs.form, Subspace.from_vectors([rs.iso_roots[0]]))
+    m = restriction_map(rs.build_relation(), v0, 1)
+    assert (m.rows, m.cols) == (0, 0)
+    assert restriction_map(rs.build_relation(), v0, 0) == Matrix.identity(1)
