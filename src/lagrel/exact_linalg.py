@@ -353,9 +353,6 @@ class Subspace:
         frac_rows = [tuple(Fraction(x, r[_pivot(r)]) for x in r) for r in self.rows]
         return Matrix(frac_rows, cols=self.ambient_dim)
 
-    def basis_vectors(self) -> list[Vector]:
-        return [tuple(Fraction(x) for x in r) for r in self.rows]
-
     def contains_vector(self, vec: Sequence[Rational]) -> bool:
         v = as_vector(vec)
         if len(v) != self.ambient_dim:
@@ -416,11 +413,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_to_payload(s: Subspace) -> dict:
     return {"ambient_dim": s.ambient_dim, "basis": matrix_to_payload(s.basis)}
-
-
-def subspace_from_payload(payload: dict) -> Subspace:
-    n = int(payload["ambient_dim"])
-    return Subspace.from_vectors([as_vector(r) for r in payload["basis"]], ambient_dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +528,6 @@ class QuotientSpace:
 
     def lift_coords(self, t: Sequence[Rational]) -> Vector:
         return self.section.apply(t)
-
-    def project_subspace(self, s: Subspace) -> Subspace:
-        if not s.rows:
-            return Subspace.zero(self.dim)
-        return Subspace.from_vectors(
-            (self.projection.apply(tuple(Fraction(x) for x in r)) for r in s.rows),
-            ambient_dim=self.dim,
-        )
 
     def __repr__(self) -> str:
         return f"QuotientSpace(dim {self.dim} from V0 dim {self.space.dim})"

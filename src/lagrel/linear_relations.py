@@ -9,9 +9,12 @@ isometries are exactly the invertible (atypicality 0) elements.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from math import gcd
+from operator import mul
+from typing import Iterable, Sequence
 
 from .exact_linalg import (
     BilinearForm,
@@ -20,6 +23,7 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
+    _int_matrix,
     _nullspace,
     as_vector,
     matrix_from_payload,
@@ -94,6 +98,36 @@ class Isometry:
         return f"Isometry({self.matrix!r})"
 
 
+def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int = 1_000_000) -> tuple[Isometry, ...]:
+    """The group generated by isometries of form, sorted; the closure behind both Weyl groups.
+
+    BFS over products s w, each element held as the integer matrix d g with d
+    its least common denominator (canonical once the gcd of d and all entries
+    is divided out).  Each distinct element is wrapped in a checked Isometry
+    exactly once.  Past max_order elements it raises RuntimeError.
+    """
+    n = form.dim
+    steps = sorted({_int_matrix(g.matrix.entries) for g in gens})
+    ident = _int_matrix(Matrix.identity(n).entries)
+    group = {ident}
+    queue = deque([ident])
+    while queue:
+        dw, w = queue.popleft()
+        cols = tuple(zip(*w))
+        for ds, s in steps:
+            prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in s)
+            d = ds * dw
+            g = gcd(d, *(x for row in prod for x in row))
+            key = (d // g, tuple(tuple(x // g for x in row) for row in prod))
+            if key not in group:
+                if len(group) >= max_order:
+                    raise RuntimeError("Weyl group generation exceeded its bound")
+                group.add(key)
+                queue.append(key)
+    isos = (Isometry(form, Matrix([[Fraction(x, d) for x in row] for row in m], cols=n)) for d, m in group)
+    return tuple(sorted(isos, key=lambda s: s.sort_key()))
+
+
 def relation_pairing(
     form: BilinearForm,
     first: tuple[Sequence[Rational], Sequence[Rational]],
@@ -137,30 +171,21 @@ class LinearRelation:
         _, second = self._halves()
         return Subspace(self.n, _echelon(second), _canonical=True)
 
-    def _side_kernel(self, side: int) -> Subspace:
-        # coefficient vectors s with s . (chosen half) = 0, pushed through the basis
+    @cached_property
+    def k2(self) -> Subspace:
+        """Ker(p2|L) = {(x, 0) in L}, as a subspace of V x V."""
+        # coefficient vectors s with s . (second half) = 0, pushed through the basis
         n = self.n
         rows = self.space.rows
         d = len(rows)
         if d == 0:
             return Subspace.zero(2 * n)
-        half = [r[:n] for r in rows] if side == 1 else [r[n:] for r in rows]
-        cols = [tuple(half[i][j] for i in range(d)) for j in range(n)]
+        cols = [tuple(r[n + j] for r in rows) for j in range(n)]
         coeffs = _nullspace(cols, d)
         kern_rows = []
         for s in coeffs:
             kern_rows.append(tuple(sum(s[i] * rows[i][j] for i in range(d)) for j in range(2 * n)))
         return Subspace(2 * n, _echelon(kern_rows), _canonical=True)
-
-    @cached_property
-    def k1(self) -> Subspace:
-        """Ker(p1|L) = {(0, w) in L}, as a subspace of V x V."""
-        return self._side_kernel(1)
-
-    @cached_property
-    def k2(self) -> Subspace:
-        """Ker(p2|L) = {(x, 0) in L}, as a subspace of V x V."""
-        return self._side_kernel(2)
 
     @cached_property
     def is_isotropic(self) -> bool:

@@ -34,7 +34,7 @@ from .linear_relations import (
     LinearRelation,
     compose,
     diagonal,
-    graph,
+    generate_group,
     idempotent_relation,
     inverse,
     isometry_of_graph,
@@ -114,18 +114,21 @@ class LagrangianEquivalenceRelation:
 
     @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
-        """The group of atypicality-0 components, as isometries of V."""
-        isos = sorted(
+        """The group of atypicality-0 components, as isometries of V.
+
+        The set S is a group iff generate_group(S), which holds the identity
+        and S, equals S; the bound len(S) stops the closure of a set that is not.
+        """
+        isos = tuple(sorted(
             (isometry_of_graph(c) for c in self.components if c.atypicality == 0),
             key=lambda s: s.sort_key(),
-        )
-        matrices = {s.matrix for s in isos}
-        assert Matrix.identity(self.n) in matrices, "Weyl group misses the identity"
-        for s in isos:
-            assert s.matrix.inverse() in matrices, "Weyl group not closed under inverse"
-            for t in isos:
-                assert s.matrix @ t.matrix in matrices, "Weyl group not closed under product"
-        return tuple(isos)
+        ))
+        try:
+            closed = generate_group(self.form, isos, len(isos)) == isos
+        except RuntimeError:
+            closed = False
+        assert closed, "atypicality-0 components are not closed under products"
+        return isos
 
     def atypicality_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(c.atypicality for c in self.components).items()))

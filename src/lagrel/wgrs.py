@@ -33,6 +33,7 @@ from .linear_relations import (
     Isometry,
     LinearRelation,
     compose,
+    generate_group,
     graph,
     idempotent_relation,
 )
@@ -79,11 +80,6 @@ class IsoSet:
     def num_pairs(self) -> int:
         return len(self.pairs)
 
-    def span(self) -> Subspace:
-        if not self.pairs:
-            raise ValueError("span of the empty iso-set needs an ambient dimension")
-        return Subspace.from_vectors(self.pairs)
-
     def span_in(self, ambient_dim: int) -> Subspace:
         if not self.pairs:
             return Subspace.zero(ambient_dim)
@@ -114,6 +110,7 @@ class RootSystem:
                 raise ValueError("roots must be nonzero")
         self.form = form
         self.roots = tuple(vecs)
+        self._weyl: tuple[Isometry, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -184,28 +181,21 @@ class RootSystem:
         return Isometry.reflection(self.form, alpha)
 
     def weyl_group(self, max_order: int = 1_000_000) -> tuple[Isometry, ...]:
-        """Close the anisotropic reflections under composition."""
-        self.require_valid()
-        gens = []
-        seen_mats = set()
-        for a in self.aniso_pairs():
-            s = self.reflection(a)
-            if s.matrix not in seen_mats:
-                seen_mats.add(s.matrix)
-                gens.append(s)
-        ident = Isometry.identity(self.form)
-        group = {ident.matrix: ident}
-        queue = deque([ident])
-        while queue:
-            w = queue.popleft()
-            for s in gens:
-                nxt = s.compose(w)
-                if nxt.matrix not in group:
-                    if len(group) >= max_order:
-                        raise RuntimeError("Weyl group generation exceeded its bound")
-                    group[nxt.matrix] = nxt
-                    queue.append(nxt)
-        return tuple(sorted(group.values(), key=lambda s: s.sort_key()))
+        """W, closed from the anisotropic reflections by generate_group once per system.
+
+        A later call whose max_order is below |W| raises, as the build would.
+        """
+        if self._weyl is None:
+            self.require_valid()
+            self._weyl = generate_group(self.form, map(self.reflection, self.aniso_pairs()), max_order)
+        if len(self._weyl) > max_order:
+            raise RuntimeError("Weyl group generation exceeded its bound")
+        return self._weyl
+
+    @cached_property
+    def _weyl_and_inverses(self) -> tuple[tuple[Isometry, Matrix], ...]:
+        """(w, w^-1) for each w in weyl_group(), in its order; built once per system."""
+        return tuple((w, w.matrix.inverse()) for w in self.weyl_group())
 
     # -- combinatorics ----------------------------------------------------------
 
@@ -473,28 +463,23 @@ class RootSystem:
             assert actual == expected, "closure disagrees with the Weyl/iso-set description"
         return rel
 
+    def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
+        """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily."""
+        weyl = self.weyl_group()
+        for s in self.iso_sets():
+            e = idempotent_relation(self.form, orth_complement(self.form, s.span_in(self.dim)))
+            for w in weyl:
+                yield w, s, compose(e, graph(w))
+
     def described_components(self) -> set[Subspace]:
         """Spaces of graph(w) o E_{S-perp} over all w in W and iso-sets S."""
-        weyl = self.weyl_group()
-        out = set()
-        for s in self.iso_sets():
-            v0 = orth_complement(self.form, s.span_in(self.dim))
-            e = idempotent_relation(self.form, v0)
-            for w in weyl:
-                out.add(compose(e, graph(w)).space)
-        return out
+        return {rel.space for _, _, rel in self._descriptions()}
 
     def describe_component(self, comp: LinearRelation) -> tuple[Isometry, IsoSet]:
         """Finite search for (w, S) with comp = graph(w) o E_{S-perp}."""
-        self.require_valid()
-        for s in self.iso_sets():
-            v0 = orth_complement(self.form, s.span_in(self.dim))
-            if v0 != comp.p1:
-                continue
-            e = idempotent_relation(self.form, v0)
-            for w in self.weyl_group():
-                if compose(e, graph(w)).space == comp.space:
-                    return w, s
+        for w, s, rel in self._descriptions():
+            if rel.space == comp.space:
+                return w, s
         raise ValueError("component is not of the form graph(w) o E_{S-perp}")
 
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
@@ -502,17 +487,13 @@ class RootSystem:
         self.require_valid()
         vv = as_vector(v)
         vp = as_vector(v_prime)
+        if len(vv) != self.dim or len(vp) != self.dim:
+            raise ValueError("vector length disagrees with form dimension")
         choices = self.maximal_isosets(vv)
-        s = choices[0] if choices else IsoSet([])
-        pairs = s.pairs
-        for w in self.weyl_group():
-            u = w.inverse().apply(vp)
-            diff = tuple(a - b for a, b in zip(u, vv))
-            if not pairs:
-                if not any(diff):
-                    return True, (w, ())
-                continue
-            mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
+        pairs = choices[0].pairs if choices else ()
+        mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
+        for w, w_inv in self._weyl_and_inverses:
+            diff = tuple(a - b for a, b in zip(w_inv.apply(vp), vv))
             try:
                 coeffs = solve_right(mat, Matrix([[d] for d in diff], cols=1))
             except ValueError:

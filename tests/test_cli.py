@@ -174,6 +174,16 @@ def test_wgrs_classes_command(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is False
 
 
+def test_wgrs_classes_wrong_length_exit_1(tmp_path, capsys):
+    path = tmp_path / "gl20.json"
+    code, _, _ = run(capsys, "wgrs", "build", "gl", "2", "0", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "wgrs", "classes", str(path), "--v", "1,0,5", "--vprime", "0,1")
+    assert code == 1
+    assert out == ""
+    assert "vector length disagrees with form dimension" in err
+
+
 def test_user_supplied_root_system_file(tmp_path, capsys):
     # a non-catalog system loaded from a file: two orthogonal isotropic pairs
     payload = {

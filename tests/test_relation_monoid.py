@@ -73,6 +73,16 @@ def test_closure_bound_exceeded_on_infinite_group():
         closure(form, [graph(boost)], ClosureConfig(max_components=64))
 
 
+def test_non_group_component_set_fails_the_weyl_check():
+    # two transpositions of S3 without their products
+    form = BilinearForm.diagonal([1, 1, 1])
+    s12 = Isometry.reflection(form, (1, -1, 0))
+    s23 = Isometry.reflection(form, (0, 1, -1))
+    rel = LagrangianEquivalenceRelation(form, [graph(s12), graph(s23)])
+    with pytest.raises(AssertionError):
+        rel.weyl_group
+
+
 def test_weyl_groups_of_catalog(gl21, gl22):
     assert len(closure(GL11, [gl11_idempotent()]).weyl_group) == 1
     assert len(gl21.weyl_group) == 2

@@ -282,6 +282,50 @@ def test_class_membership_agreement_other_entries(name, m, n):
         assert ok == rel.membership(x, y)
 
 
+def test_class_membership_rejects_wrong_length():
+    rs = catalog("gl", 2, 0)
+    with pytest.raises(ValueError, match="vector length disagrees with form dimension"):
+        rs.class_membership((1, 0, 5), (0, 1))
+    with pytest.raises(ValueError, match="vector length disagrees with form dimension"):
+        rs.class_membership((1, 0), (0, 1, 0))
+
+
+A2_SKEWED = {
+    "gram": [["1", "0"], ["0", "3"]],
+    "roots": [["2", "0"], ["-2", "0"], ["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]],
+}
+
+
+def test_non_integral_weyl_group_is_closed():
+    # A2 under the form diag(1, 3): W = S3, with reflection entries -1/2
+    rs = rootsystem_from_payload(A2_SKEWED)
+    assert rs.validate().ok
+    weyl = rs.weyl_group()
+    assert len(weyl) == 6
+    assert any(x.denominator != 1 for w in weyl for row in w.matrix.entries for x in row)
+    matrices = {w.matrix for w in weyl}
+    for s in weyl:
+        for t in weyl:
+            assert s.matrix @ t.matrix in matrices
+    rel = rs.build_relation(check=True)
+    assert rel.weyl_group == rs.weyl_group()
+
+
+def test_weyl_group_bound_before_and_after_a_full_build():
+    rs = catalog("gl", 3, 0)
+    with pytest.raises(RuntimeError, match="exceeded its bound"):
+        rs.weyl_group(max_order=5)
+    assert len(rs.weyl_group()) == 6
+    with pytest.raises(RuntimeError, match="exceeded its bound"):
+        rs.weyl_group(max_order=5)
+    assert len(rs.weyl_group(max_order=6)) == 6
+
+
+def test_weyl_group_is_built_once():
+    rs = catalog("gl", 3, 1)
+    assert rs.weyl_group() is rs.weyl_group()
+
+
 def test_describe_component(gl21):
     rs = catalog("gl", 2, 1)
     for comp in gl21.components:
