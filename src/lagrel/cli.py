@@ -302,9 +302,7 @@ def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
         )
         k2_first = a.k2
         first_half = [r[:dim] for r in k2_first.rows]
-        p1k2 = Subspace.from_vectors(
-            [tuple(map(rational, r)) for r in first_half], ambient_dim=dim
-        ) if first_half else Subspace.zero(dim)
+        p1k2 = Subspace(dim, first_half)
         tally("image_is_kernel_complement", orth_complement(form, p1k2) == a.p1)
         e = compose(a, inverse(a))
         tally("inverse_composition_idempotent", classify_idempotent(e) == a.p1)

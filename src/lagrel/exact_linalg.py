@@ -4,9 +4,14 @@ Everything is computed over Q with one integer elimination kernel,
 `_echelon`, which keeps primitive-integer reduced-row-echelon rows.  Two
 equal subspaces therefore have identical (and identically hashable)
 representations, no matter how they were constructed.  Rank, nullspaces,
-intersections, inverses and linear solves all run through it.  `Fraction`
-appears only where data enters (`rational`, `_int_rows`) and where results
-are read out (`solve_right`, `Subspace.basis`).  No floating point anywhere.
+intersections, inverses and linear solves all run through it.
+
+A `Matrix` M is held as one integer matrix over one denominator: `den` > 0
+and `ints` = den*M, with gcd(den, all of ints) = 1, which makes the pair
+unique.  Products, transposes, solves and comparisons work on the integers.
+`Fraction` appears only where data enters (`rational`, `_int_vector`) and
+where results are read out (`Matrix.entries`, `Matrix.apply`,
+`BilinearForm.pairing`).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -77,22 +83,16 @@ def _primitive(row: Sequence[int]) -> IntRow | None:
     return tuple(x // g for x in row)
 
 
+def _int_vector(vec: Sequence[Rational]) -> tuple[int, list[int]]:
+    """Common denominator d of a vector v, and the integer vector d*v."""
+    fr = [rational(x) for x in vec]
+    d = lcm(*(x.denominator for x in fr))
+    return d, [x.numerator * (d // x.denominator) for x in fr]
+
+
 def _int_rows(vectors: Iterable[Sequence[Rational]]) -> list[list[int]]:
     """Clear denominators row by row (row spaces are scale invariant)."""
-    out = []
-    for vec in vectors:
-        fr = [rational(x) for x in vec]
-        m = 1
-        for x in fr:
-            m = lcm(m, x.denominator)
-        out.append([int(x * m) for x in fr])
-    return out
-
-
-def _int_matrix(entries: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[IntRow, ...]]:
-    """Common denominator d of a whole matrix M, and the integer matrix d*M."""
-    scale = lcm(*(x.denominator for row in entries for x in row))
-    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries)
+    return [_int_vector(vec)[1] for vec in vectors]
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntRow, ...]:
@@ -174,10 +174,36 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
 # ---------------------------------------------------------------------------
 
 
-class Matrix:
-    """Immutable exact matrix of Fractions (row-major)."""
+def _int_product(a: Sequence[IntRow], b: Sequence[IntRow], bcols: int) -> tuple[IntRow, ...]:
+    """The integer product a b, for b with bcols columns."""
+    cols = tuple(zip(*b)) if b else ((),) * bcols
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _matrix(den: int, ints: Iterable[Sequence[int]], cols: int) -> "Matrix":
+    """The Matrix ints/den, brought to lowest terms with den > 0."""
+    ints = tuple(tuple(row) for row in ints)
+    g = gcd(den, *(x for row in ints for x in row))
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        ints = tuple(tuple(x // g for x in row) for row in ints)
+    m = object.__new__(Matrix)
+    m._set(den, ints, cols, None)
+    return m
+
+
+class Matrix:
+    """Immutable exact rational matrix, held as integers over one denominator.
+
+    `ints` is the integer matrix den*M (row-major) and `den` > 0, with
+    gcd(den, every entry of ints) = 1, so equal matrices hold equal integers
+    and `==` and `hash` never touch a Fraction.  `entries` is the Fraction
+    read-out, built on first use and cached.
+    """
+
+    __slots__ = ("rows", "cols", "den", "ints", "_entries")
 
     def __init__(self, entries: Iterable[Iterable[Rational]], cols: int | None = None):
         ents = tuple(tuple(rational(x) for x in row) for row in entries)
@@ -191,16 +217,32 @@ class Matrix:
             if cols is None:
                 raise ValueError("empty matrix needs explicit cols")
             width = cols
-        object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", width)
+        # the lcm of reduced denominators leaves gcd(den, all of ints) = 1
+        den = lcm(*(x.denominator for row in ents for x in row))
+        ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ents)
+        self._set(den, ints, width, ents)
+
+    def _set(self, den: int, ints: tuple[IntRow, ...], cols: int, entries) -> None:
+        object.__setattr__(self, "rows", len(ints))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_entries", entries)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(((1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return _matrix(1, (_unit_row(n, i) for i in range(n)), n)
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The entries as Fractions (read-out only; built once)."""
+        if self._entries is None:
+            d = self.den
+            object.__setattr__(self, "_entries", tuple(tuple(Fraction(x, d) for x in row) for row in self.ints))
+        return self._entries
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -209,40 +251,25 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            ((self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
-        )
+        return _matrix(self.den, zip(*self.ints) if self.rows else ((),) * self.cols, self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
-        cols = other.cols
-        out = []
-        for r in self.entries:
-            out.append(
-                tuple(
-                    sum((r[k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(cols)
-                )
-            )
-        return Matrix(out, cols=cols)
+        return _matrix(self.den * other.den, _int_product(self.ints, other.ints, other.cols), other.cols)
 
     def apply(self, vec: Sequence[Rational]) -> Vector:
-        v = as_vector(vec)
+        d, v = _int_vector(vec)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0)) for r in self.entries)
+        d *= self.den
+        return tuple(Fraction(sum(map(mul, row, v)), d) for row in self.ints)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self.ints == tuple(zip(*self.ints))
 
     def rank(self) -> int:
-        return _rank(_int_rows(self.entries))
+        return _rank(self.ints)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -253,11 +280,12 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.entries))
+        return hash((self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -274,7 +302,7 @@ def matrix_from_payload(payload: Sequence[Sequence[Rational]], cols: int | None 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon basis of the row space (zero rows dropped)."""
-    return Subspace.from_vectors(m.entries, ambient_dim=m.cols).basis
+    return Subspace(m.cols, m.ints).basis
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix:
@@ -285,15 +313,20 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _solve(a: Matrix, b: Matrix, rank_error: str) -> Matrix:
-    """Echelon [A | B] once; with pivots 0..n-1 exactly, row i reads off X[i]."""
+    """Echelon [d_B A | d_A B] (over gcd(d_A, d_B)) once; with pivots 0..n-1 exactly, row i reads off X[i]."""
     n = a.cols
-    ech = _echelon(_int_rows(ra + rb for ra, rb in zip(a.entries, b.entries)))
+    g = gcd(a.den, b.den)
+    sa, sb = b.den // g, a.den // g
+    ech = _echelon(
+        tuple(x * sa for x in ra) + tuple(y * sb for y in rb) for ra, rb in zip(a.ints, b.ints)
+    )
     pivots = [_pivot(r) for r in ech]
     if pivots[:n] != list(range(n)):
         raise ValueError(rank_error)
     if len(ech) > n:
         raise ValueError("inconsistent linear system")
-    return Matrix((tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(ech)), cols=b.cols)
+    den = lcm(*(r[i] for i, r in enumerate(ech)))
+    return _matrix(den, (tuple(x * (den // r[i]) for x in r[n:]) for i, r in enumerate(ech)), b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +383,13 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         """The RREF basis over Q (leading coefficients 1)."""
-        frac_rows = [tuple(Fraction(x, r[_pivot(r)]) for x in r) for r in self.rows]
-        return Matrix(frac_rows, cols=self.ambient_dim)
+        den = lcm(*(r[_pivot(r)] for r in self.rows))
+        return _matrix(den, (tuple(x * (den // r[_pivot(r)]) for x in r) for r in self.rows), self.ambient_dim)
 
     def contains_vector(self, vec: Sequence[Rational]) -> bool:
-        v = as_vector(vec)
-        if len(v) != self.ambient_dim:
+        _, row = _int_vector(vec)
+        if len(row) != self.ambient_dim:
             raise ValueError("vector length disagrees with ambient dimension")
-        (row,) = _int_rows([v])
         return _residual(row, self.rows) is None
 
     def contains(self, other: "Subspace") -> bool:
@@ -367,10 +399,9 @@ class Subspace:
 
     def transform(self, m: Matrix) -> "Subspace":
         """Image under an invertible linear map (applied to each basis vector)."""
-        return Subspace.from_vectors(
-            (m.apply(tuple(Fraction(x) for x in r)) for r in self.rows),
-            ambient_dim=m.rows,
-        ) if self.rows else Subspace.zero(m.rows)
+        if m.cols != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return Subspace(m.rows, (tuple(sum(map(mul, mrow, r)) for mrow in m.ints) for r in self.rows))
 
     def sort_key(self):
         return (self.ambient_dim, len(self.rows), self.rows)
@@ -423,7 +454,7 @@ def subspace_to_payload(s: Subspace) -> dict:
 class BilinearForm:
     """Nondegenerate symmetric bilinear form, given by its Gram matrix."""
 
-    __slots__ = ("dim", "gram", "int_gram")
+    __slots__ = ("dim", "gram")
 
     def __init__(self, gram: Matrix):
         if gram.rows != gram.cols:
@@ -432,10 +463,8 @@ class BilinearForm:
             raise ValueError("Gram matrix must be symmetric")
         if gram.rank() != gram.rows:
             raise ValueError("Gram matrix must be invertible (nondegenerate form)")
-        _, int_gram = _int_matrix(gram.entries)
         object.__setattr__(self, "dim", gram.rows)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "int_gram", int_gram)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("BilinearForm is immutable")
@@ -447,35 +476,22 @@ class BilinearForm:
         return cls(Matrix(((diag[i] if i == j else 0 for j in range(n)) for i in range(n)), cols=n))
 
     def pairing(self, u: Sequence[Rational], v: Sequence[Rational]) -> Fraction:
-        uu = as_vector(u)
-        vv = as_vector(v)
+        du, uu = _int_vector(u)
+        dv, vv = _int_vector(v)
         if len(uu) != self.dim or len(vv) != self.dim:
             raise ValueError("vector length disagrees with form dimension")
-        total = Fraction(0)
-        for i, ui in enumerate(uu):
-            if ui:
-                row = self.gram.entries[i]
-                total += ui * sum((row[j] * vv[j] for j in range(self.dim) if vv[j]), Fraction(0))
-        return total
+        return Fraction(self.int_pairing(uu, vv), du * dv * self.gram.den)
 
     def int_pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Pairing against the integer-scaled Gram matrix (zero tests only)."""
+        """Pairing against the integer Gram matrix gram.ints, i.e. gram.den * <u|v>."""
         total = 0
-        for i, ui in enumerate(u):
+        for ui, row in zip(u, self.gram.ints):
             if ui:
-                row = self.int_gram[i]
-                total += ui * sum(row[j] * v[j] for j in range(self.dim) if v[j])
+                total += ui * sum(map(mul, row, v))
         return total
 
     def is_isotropic(self, v: Sequence[Rational]) -> bool:
         return self.pairing(v, v) == 0
-
-    def gram_on(self, vectors: Sequence[Sequence[Rational]]) -> Matrix:
-        k = len(vectors)
-        return Matrix(
-            ((self.pairing(vectors[i], vectors[j]) for j in range(k)) for i in range(k)),
-            cols=k,
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BilinearForm) and self.gram == other.gram
@@ -492,10 +508,7 @@ def orth_complement(form: BilinearForm, u: Subspace) -> Subspace:
     if u.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
     n = form.dim
-    rows = []
-    for r in u.rows:
-        rows.append(tuple(sum(r[i] * form.int_gram[i][j] for i in range(n) if r[i]) for j in range(n)))
-    return Subspace(n, _nullspace(rows, n), _canonical=True)
+    return Subspace(n, _nullspace(_int_product(u.rows, form.gram.ints, n), n), _canonical=True)
 
 
 class QuotientSpace:
@@ -553,10 +566,9 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
     pivcols = {_pivot(r) for r in union}
     d_rows = [_unit_row(n, j) for j in range(n) if j not in pivcols]
     f_rows = list(u_rows) + list(v1.rows) + d_rows
-    f = Matrix(f_rows, cols=n)
-    inv = f.transpose().inverse()
-    projection = Matrix(inv.entries[:q], cols=n)
-    section = Matrix(((Fraction(u_rows[t][i]) for t in range(q)) for i in range(n)), cols=q)
-    u_vectors = [tuple(Fraction(x) for x in r) for r in u_rows]
-    induced = BilinearForm(form.gram_on(u_vectors))
+    inv = _matrix(1, zip(*f_rows), n).inverse()
+    projection = _matrix(inv.den, inv.ints[:q], n)
+    section = _matrix(1, zip(*u_rows) if q else ((),) * n, q)
+    gram = ((form.int_pairing(a, b) for b in u_rows) for a in u_rows)
+    induced = BilinearForm(_matrix(form.gram.den, gram, q))
     return QuotientSpace(v0, v1, projection, section, induced)

@@ -21,8 +21,8 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
-    _int_matrix,
     _int_rows,
+    _matrix,
     _nullspace,
     _pivot,
     _rank,
@@ -147,7 +147,7 @@ class Polynomial:
             raise ValueError("substitution matrix has the wrong number of rows")
         if not self.num_vars:  # no rows to tell _int_substitution the width
             return Polynomial(m.cols, {(0,) * m.cols: c for c in self.terms.values()})
-        scale, m_int = _int_matrix(m.entries)
+        scale, m_int = m.den, m.ints
         terms: dict = {}
         for d in sorted({sum(e) for e in self.terms}):
             sub = _int_substitution(m_int, d)
@@ -355,8 +355,8 @@ class GradedInvariantBasis:
         n = self.relation.n
         for comp in self.relation.components:
             d = comp.space.dim
-            m1 = Matrix([[comp.space.rows[k][i] for k in range(d)] for i in range(n)], cols=d)
-            m2 = Matrix([[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)], cols=d)
+            m1 = _matrix(1, ([comp.space.rows[k][i] for k in range(d)] for i in range(n)), d)
+            m2 = _matrix(1, ([comp.space.rows[k][n + i] for k in range(d)] for i in range(n)), d)
             for basis in self.bases:
                 for f in basis:
                     if f.compose_linear(m1) != f.compose_linear(m2):
@@ -376,7 +376,7 @@ def weyl_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynom
     for s in group:
         if s.is_identity() or not basis:
             continue
-        scale, m_int = _int_matrix(s.matrix.entries)
+        scale, m_int = s.matrix.den, s.matrix.ints
         sub = _int_substitution(m_int, degree)
         factor = scale ** degree
         delta = {}

@@ -23,7 +23,9 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
-    _int_matrix,
+    _int_product,
+    _int_vector,
+    _matrix,
     _nullspace,
     as_vector,
     matrix_from_payload,
@@ -35,14 +37,20 @@ from .exact_linalg import (
 
 
 class Isometry:
-    """Invertible linear map g with g^T G g = G, exactly."""
+    """Invertible linear map g with g^T G g = G, checked exactly in integers."""
 
     __slots__ = ("form", "matrix")
 
     def __init__(self, form: BilinearForm, matrix: Matrix):
         if matrix.rows != form.dim or matrix.cols != form.dim:
             raise ValueError("matrix shape disagrees with form dimension")
-        if matrix.transpose() @ form.gram @ matrix != form.gram:
+        # with g = M/d and G = H/e in lowest terms, g^T G g = G iff M^T H M = d^2 H
+        n = form.dim
+        h = form.gram.ints
+        m = matrix.ints
+        d2 = matrix.den * matrix.den
+        lhs = _int_product(tuple(zip(*m)), _int_product(h, m, n), n)
+        if lhs != tuple(tuple(d2 * x for x in row) for row in h):
             raise ValueError("matrix is not an isometry of the form")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "matrix", matrix)
@@ -56,21 +64,21 @@ class Isometry:
 
     @classmethod
     def reflection(cls, form: BilinearForm, v: Sequence[Rational]) -> "Isometry":
-        """Reflection in an anisotropic vector: x -> x - (2<v|x>/<v|v>) v."""
-        vv = as_vector(v)
-        norm = form.pairing(vv, vv)
+        """Reflection in an anisotropic vector: x -> x - (2<v|x>/<v|v>) v.
+
+        For v a multiple of the integer vector u and H = gram.ints, the matrix
+        is (N I - 2 u (H u)^T) / N with N = u^T H u.
+        """
+        _, u = _int_vector(v)
+        if len(u) != form.dim:
+            raise ValueError("vector length disagrees with form dimension")
+        norm = form.int_pairing(u, u)
         if norm == 0:
             raise ValueError("cannot reflect in an isotropic vector")
-        gv = form.gram.apply(vv)
+        hu = [sum(map(mul, row, u)) for row in form.gram.ints]
         n = form.dim
-        entries = [
-            [
-                (Fraction(1) if i == j else Fraction(0)) - 2 * vv[i] * gv[j] / norm
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return cls(form, Matrix(entries, cols=n))
+        ints = [[(norm if i == j else 0) - 2 * u[i] * hu[j] for j in range(n)] for i in range(n)]
+        return cls(form, _matrix(norm, ints, n))
 
     def apply(self, v: Sequence[Rational]) -> Vector:
         return self.matrix.apply(v)
@@ -107,15 +115,14 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int 
     exactly once.  Past max_order elements it raises RuntimeError.
     """
     n = form.dim
-    steps = sorted({_int_matrix(g.matrix.entries) for g in gens})
-    ident = _int_matrix(Matrix.identity(n).entries)
+    steps = sorted({(g.matrix.den, g.matrix.ints) for g in gens})
+    ident = (1, Matrix.identity(n).ints)
     group = {ident}
     queue = deque([ident])
     while queue:
         dw, w = queue.popleft()
-        cols = tuple(zip(*w))
         for ds, s in steps:
-            prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in s)
+            prod = _int_product(s, w, n)
             d = ds * dw
             g = gcd(d, *(x for row in prod for x in row))
             key = (d // g, tuple(tuple(x // g for x in row) for row in prod))
@@ -124,7 +131,7 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int 
                     raise RuntimeError("Weyl group generation exceeded its bound")
                 group.add(key)
                 queue.append(key)
-    isos = (Isometry(form, Matrix([[Fraction(x, d) for x in row] for row in m], cols=n)) for d, m in group)
+    isos = (Isometry(form, _matrix(d, m, n)) for d, m in group)
     return tuple(sorted(isos, key=lambda s: s.sort_key()))
 
 
@@ -248,11 +255,10 @@ def diagonal(form: BilinearForm) -> LinearRelation:
 def graph(iso: Isometry) -> LinearRelation:
     """Graph {(v, g v)} of an isometry."""
     n = iso.form.dim
-    rows = []
-    for i in range(n):
-        col = iso.matrix.column(i)
-        rows.append(tuple(Fraction(1 if j == i else 0) for j in range(n)) + col)
-    return LinearRelation(iso.form, Subspace.from_vectors(rows, ambient_dim=2 * n))
+    d = iso.matrix.den
+    cols = zip(*iso.matrix.ints)
+    rows = (tuple(d if j == i else 0 for j in range(n)) + col for i, col in enumerate(cols))
+    return LinearRelation(iso.form, Subspace(2 * n, rows))
 
 
 def inverse(rel: LinearRelation) -> LinearRelation:
@@ -329,8 +335,8 @@ def isometry_of_graph(rel: LinearRelation) -> Isometry:
     if not rel.is_lagrangian or rel.atypicality != 0:
         raise ValueError("relation is not the graph of an isometry")
     n = rel.n
-    a1 = Matrix([r[:n] for r in rel.space.rows], cols=n)
-    a2 = Matrix([r[n:] for r in rel.space.rows], cols=n)
+    a1 = _matrix(1, (r[:n] for r in rel.space.rows), n)
+    a2 = _matrix(1, (r[n:] for r in rel.space.rows), n)
     st = solve_right(a1, a2)
     return Isometry(rel.form, st.transpose())
 
@@ -346,14 +352,10 @@ def canonical_data(rel: LinearRelation) -> tuple[Subspace, Subspace, Matrix]:
     if q.dim == 0:
         alpha = Matrix((), cols=0)
         return v0, v0p, alpha
-    xs = []
-    ys = []
-    for r in rel.space.rows:
-        x = tuple(Fraction(v) for v in r[: rel.n])
-        y = tuple(Fraction(v) for v in r[rel.n :])
-        xs.append(q.project_vector(x))
-        ys.append(qp.project_vector(y))
-    alpha = solve_right(Matrix(xs, cols=q.dim), Matrix(ys, cols=qp.dim)).transpose()
+    n = rel.n
+    xs = _matrix(1, (r[:n] for r in rel.space.rows), n) @ q.projection.transpose()
+    ys = _matrix(1, (r[n:] for r in rel.space.rows), n) @ qp.projection.transpose()
+    alpha = solve_right(xs, ys).transpose()
     assert alpha.transpose() @ qp.induced_form.gram @ alpha == q.induced_form.gram, (
         "induced map is not an isometry of the quotient forms"
     )
@@ -367,16 +369,16 @@ def relation_from_data(form: BilinearForm, v0: Subspace, v0p: Subspace, alpha: M
     if alpha.rows != qp.dim or alpha.cols != q.dim:
         raise ValueError("quotient map has the wrong shape")
     n = form.dim
-    rows: list[Vector] = []
-    for i in range(q.dim):
-        e = tuple(Fraction(1 if t == i else 0) for t in range(q.dim))
-        rows.append(q.lift_coords(e) + qp.lift_coords(alpha.apply(e)))
-    zero = (Fraction(0),) * n
-    for r in q.kernel.rows:
-        rows.append(tuple(Fraction(x) for x in r) + zero)
-    for r in qp.kernel.rows:
-        rows.append(zero + tuple(Fraction(x) for x in r))
-    rel = LinearRelation(form, Subspace.from_vectors(rows, ambient_dim=2 * n))
+    # row i is (section e_i, section' alpha e_i), both sides scaled to integers
+    first, second = q.section, qp.section @ alpha
+    rows = [
+        tuple(second.den * x for x in a) + tuple(first.den * y for y in b)
+        for a, b in zip(zip(*first.ints), zip(*second.ints))
+    ]
+    zero = (0,) * n
+    rows += [r + zero for r in q.kernel.rows]
+    rows += [zero + r for r in qp.kernel.rows]
+    rel = LinearRelation(form, Subspace(2 * n, rows))
     if not rel.is_lagrangian:
         raise ValueError("data does not assemble into a Lagrangian relation")
     return rel
@@ -449,15 +451,15 @@ def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int
 
 
 def _split_indices(form: BilinearForm) -> tuple[list[int], list[int]] | None:
-    gram = form.gram.entries
+    gram, den = form.gram.ints, form.gram.den
     pos, neg = [], []
     for i in range(form.dim):
         for j in range(form.dim):
             if i != j and gram[i][j] != 0:
                 return None
-        if gram[i][i] == 1:
+        if gram[i][i] == den:
             pos.append(i)
-        elif gram[i][i] == -1:
+        elif gram[i][i] == -den:
             neg.append(i)
         else:
             return None
@@ -478,12 +480,12 @@ def random_coisotropic(form: BilinearForm, rng: random.Random) -> Subspace:
     vectors = []
     for i, j in zip(pis, njs):
         sign = rng.choice((1, -1))
-        vec = [Fraction(0)] * form.dim
-        vec[i] = Fraction(1)
-        vec[j] = Fraction(sign)
-        vectors.append(tuple(vec))
+        vec = [0] * form.dim
+        vec[i] = 1
+        vec[j] = sign
+        vectors.append(vec)
     twist = random_isometry(form, rng, max_reflections=2)
-    span = Subspace.from_vectors([twist.apply(v) for v in vectors], ambient_dim=form.dim)
+    span = Subspace(form.dim, vectors).transform(twist.matrix)
     return orth_complement(form, span)
 
 

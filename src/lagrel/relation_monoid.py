@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,7 +21,10 @@ from .exact_linalg import (
     Rational,
     Subspace,
     _echelon,
+    _int_product,
+    _matrix,
     _rank,
+    _residual,
     as_vector,
     orth_complement,
     quotient,
@@ -184,8 +186,7 @@ class LagrangianEquivalenceRelation:
         selected = []
         for comp in self.components:
             inside = all(
-                v0.contains_vector(tuple(Fraction(x) for x in r[:n]))
-                and v0.contains_vector(tuple(Fraction(x) for x in r[n:]))
+                _residual(r[:n], v0.rows) is None and _residual(r[n:], v0.rows) is None
                 for r in comp.space.rows
             )
             if inside:
@@ -199,12 +200,7 @@ class LagrangianEquivalenceRelation:
         assert sandwich == {c.space for c in selected}, "reduction filters disagree"
         reduced = []
         for comp in selected:
-            rows = []
-            for r in comp.space.rows:
-                x = q.project_vector(tuple(Fraction(v) for v in r[:n]))
-                y = q.project_vector(tuple(Fraction(v) for v in r[n:]))
-                rows.append(x + y)
-            space = Subspace.from_vectors(rows, ambient_dim=2 * q.dim)
+            space = Subspace(2 * q.dim, _map_halves(comp.space.rows, n, q.projection))
             rel = LinearRelation(q.induced_form, space)
             if not rel.is_lagrangian:
                 raise RuntimeError("reduced component is not Lagrangian")
@@ -338,7 +334,7 @@ class LagrangianEquivalenceRelation:
             stacked.extend(f.rows)
         if _rank(stacked) != n:
             return None
-        t = Matrix(stacked, cols=n)
+        t = _matrix(1, stacked, n)
         gram_new = t @ self.form.gram @ t.transpose()
         offsets = []
         pos = 0
@@ -348,22 +344,17 @@ class LagrangianEquivalenceRelation:
         for i, (a0, a1) in enumerate(offsets):
             for j, (b0, b1) in enumerate(offsets):
                 if i != j and any(
-                    gram_new.entries[r][c] for r in range(a0, a1) for c in range(b0, b1)
+                    gram_new.ints[r][c] for r in range(a0, a1) for c in range(b0, b1)
                 ):
                     return None
         coord = t.transpose().inverse()
         forms = [
-            BilinearForm(Matrix([row[b0:b1] for row in gram_new.entries[b0:b1]], cols=b1 - b0))
+            BilinearForm(_matrix(gram_new.den, (row[b0:b1] for row in gram_new.ints[b0:b1]), b1 - b0))
             for (b0, b1) in offsets
         ]
         factor_comps: list[dict] = [dict() for _ in factors]
         for comp in self.components:
-            rows = []
-            for r in comp.space.rows:
-                x = coord.apply(tuple(Fraction(v) for v in r[:n]))
-                y = coord.apply(tuple(Fraction(v) for v in r[n:]))
-                rows.append(x + y)
-            moved = Subspace.from_vectors(rows, ambient_dim=2 * n) if rows else Subspace.zero(2 * n)
+            moved = Subspace(2 * n, _map_halves(comp.space.rows, n, coord))
             pieces = []
             for (b0, b1) in offsets:
                 proj_rows = [r[b0:b1] + r[n + b0 : n + b1] for r in moved.rows]
@@ -419,12 +410,18 @@ class LagrangianEquivalenceRelation:
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     n, m = a.rows, b.rows
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a.entries[i]) + (Fraction(0),) * m)
-    for i in range(m):
-        rows.append((Fraction(0),) * n + tuple(b.entries[i]))
-    return Matrix(rows, cols=n + m)
+    den = a.den * b.den
+    rows = [tuple(x * b.den for x in r) + (0,) * m for r in a.ints]
+    rows += [(0,) * n + tuple(x * a.den for x in r) for r in b.ints]
+    return _matrix(den, rows, n + m)
+
+
+def _map_halves(rows: Sequence[Sequence[int]], n: int, m: Matrix) -> list[tuple[int, ...]]:
+    """Rows (m x | m y) for the rows (x | y) of a relation, up to the common factor m.den."""
+    mt = m.transpose().ints
+    xs = _int_product([r[:n] for r in rows], mt, m.rows)
+    ys = _int_product([r[n:] for r in rows], mt, m.rows)
+    return [x + y for x, y in zip(xs, ys)]
 
 
 def _orthogonal_subspaces(form: BilinearForm, a: Subspace, b: Subspace) -> bool:
@@ -453,17 +450,18 @@ def _nondegenerate_growth(form: BilinearForm, span: Subspace, avoid: Sequence[Su
         radical = subspace_intersect_radical(form, current)
         if radical.dim == 0:
             return current
-        r = tuple(Fraction(x) for x in radical.rows[0])
+        r = radical.rows[0]
         partner = None
         for cand in allowed.rows:
-            cv = tuple(Fraction(x) for x in cand)
-            pr = form.pairing(cv, r)
+            pr = form.int_pairing(cand, r)
             if pr != 0:
-                partner = tuple(x - form.pairing(cv, cv) / (2 * pr) * y for x, y in zip(cv, r))
+                # c - <c|c>/(2<c|r>) r, scaled by 2<c|r> to stay integral
+                cc = form.int_pairing(cand, cand)
+                partner = tuple(2 * pr * x - cc * y for x, y in zip(cand, r))
                 break
         if partner is None:
             return None
-        current = subspace_sum(current, Subspace.from_vectors([partner], ambient_dim=n))
+        current = subspace_sum(current, Subspace(n, [partner]))
     return None
 
 

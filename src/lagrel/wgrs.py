@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -21,6 +22,8 @@ from .exact_linalg import (
     Rational,
     Subspace,
     Vector,
+    _int_vector,
+    _matrix,
     as_vector,
     matrix_from_payload,
     matrix_to_payload,
@@ -124,11 +127,19 @@ class RootSystem:
     def aniso_roots(self) -> tuple[Vector, ...]:
         return tuple(v for v in self.roots if self.form.pairing(v, v) != 0)
 
-    def iso_pairs(self) -> tuple[Vector, ...]:
+    @cached_property
+    def _iso_pairs(self) -> tuple[Vector, ...]:
         return tuple(sorted({_orient(v) for v in self.iso_roots}))
 
-    def aniso_pairs(self) -> tuple[Vector, ...]:
+    @cached_property
+    def _aniso_pairs(self) -> tuple[Vector, ...]:
         return tuple(sorted({_orient(v) for v in self.aniso_roots}))
+
+    def iso_pairs(self) -> tuple[Vector, ...]:
+        return self._iso_pairs
+
+    def aniso_pairs(self) -> tuple[Vector, ...]:
+        return self._aniso_pairs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.form == other.form and self.roots == other.roots
@@ -226,7 +237,9 @@ class RootSystem:
 
     def iso_sets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
         """All iso-sets (orthogonal to v when given), the empty one included."""
-        pairs = self._orthogonal_iso_pairs(v)
+        return self._iso_sets(self._orthogonal_iso_pairs(v))
+
+    def _iso_sets(self, pairs: list[Vector]) -> tuple[IsoSet, ...]:
         out = []
 
         def extend(chosen: list[Vector], rest: list[Vector]):
@@ -248,8 +261,8 @@ class RootSystem:
     def maximal_isosets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
         """Inclusion-maximal iso-sets (orthogonal to v when given), by exhaustive search."""
         self.require_valid()
-        candidates = self.iso_sets(v)
         pairs_avail = self._orthogonal_iso_pairs(v)
+        candidates = self._iso_sets(pairs_avail)
         maximal = []
         for s in candidates:
             extensible = any(
@@ -492,10 +505,14 @@ class RootSystem:
         choices = self.maximal_isosets(vv)
         pairs = choices[0].pairs if choices else ()
         mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
+        dv, iv = _int_vector(vv)
+        dp, ip = _int_vector(vp)
         for w, w_inv in self._weyl_and_inverses:
-            diff = tuple(a - b for a, b in zip(w_inv.apply(vp), vv))
+            # w^-1 v' - v, as integers over w_inv.den * dp * dv
+            scale = w_inv.den * dp
+            diff = (dv * sum(map(mul, row, ip)) - scale * x for row, x in zip(w_inv.ints, iv))
             try:
-                coeffs = solve_right(mat, Matrix([[d] for d in diff], cols=1))
+                coeffs = solve_right(mat, _matrix(scale * dv, ((d,) for d in diff), 1))
             except ValueError:
                 continue
             return True, (w, tuple(coeffs.column(0)))

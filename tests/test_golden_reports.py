@@ -4,16 +4,20 @@ Each case runs `lagrel.cli.main` in-process with `--out` and compares the
 sha256 of the written report with a digest recorded before the exact kernel
 was unified.  A refactor of the linear algebra or the polynomial code must
 leave all of them unchanged; a deliberate output change must re-record them
-and say why.
+and say why.  One more pin covers the payload bytes of the seeded random
+relations that `verify monoid` draws.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import pytest
 
 from lagrel.cli import main
+from lagrel.linear_relations import random_lagrangian, relation_to_payload, suite_form
 
 # system -> (unrelated pair, related pair), as comma-separated rationals
 POINTS = {
@@ -108,3 +112,22 @@ def test_report_bytes(system, catalog_files, tmp_path):
         if _sha256(out) != GOLDEN[f"{system} {name}"]:
             mismatched.append(name)
     assert mismatched == []
+
+
+# relation_to_payload of the first 50 pairs of `verify monoid --seed 1`
+RANDOM_CORPUS = "f72b7dc55ab02eed9b64723d4cb568115622954d45275a489f618f586d71c0aa"
+
+
+def test_random_corpus_bytes():
+    """The seeded generator behind `verify monoid` and the corpus fixture.
+
+    `verify monoid` passes on any Lagrangian relations, so a change in which
+    relations the generator draws would go unnoticed without this pin.
+    """
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for i in range(50):
+        form = suite_form(2 + i % 5)
+        for rel in (random_lagrangian(form, rng), random_lagrangian(form, rng)):
+            digest.update(json.dumps(relation_to_payload(rel), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_CORPUS

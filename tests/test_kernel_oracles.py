@@ -1,22 +1,31 @@
-"""The integer elimination kernel against sympy's exact linear algebra.
+"""The integer matrix representation and elimination kernel against independent oracles.
 
-`Matrix.inverse`, `solve_right` and `_nullspace` all read their answers off
-`_echelon`; sympy computes the same objects by independent code, so any
+`Matrix` holds integers over one denominator, and `Matrix.inverse`,
+`solve_right` and `_nullspace` all read their answers off `_echelon`.  Two
+oracles compute the same objects by independent code: plain `Fraction`
+loops written out below, and sympy's exact linear algebra.  Any
 disagreement (including which error a singular, rank-deficient or
-inconsistent system raises) is a bug in the kernel.
+inconsistent system raises) is a bug in the representation or the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrel.exact_linalg import Matrix, Subspace, _nullspace, solve_right
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _nullspace, solve_right
+from lagrel.linear_relations import Isometry
 
-sympy = pytest.importorskip("sympy")
+try:
+    import sympy
+except ImportError:  # the Fraction oracles below still run
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 # zeros are drawn often so that singular and rank-deficient inputs are common
 entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3))
@@ -41,6 +50,7 @@ def matrices(draw, rows: int, cols: int):
     return Matrix(body, cols=cols)
 
 
+@needs_sympy
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n)))
 def test_inverse_matches_sympy(m):
@@ -72,6 +82,7 @@ def systems(draw):
     return a, b
 
 
+@needs_sympy
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_solve_right_matches_sympy(system):
@@ -103,6 +114,7 @@ def test_solve_right_zero_unknowns():
         solve_right(empty, Matrix([[0], [1]]))
 
 
+@needs_sympy
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
@@ -124,3 +136,160 @@ def test_nullspace_matches_sympy(case):
     )
     # already canonical: re-reducing the rows changes nothing
     assert Subspace(ncols, kernel).rows == kernel
+
+
+# ---------------------------------------------------------------------------
+# The (den, ints) representation against plain Fraction loops.
+# ---------------------------------------------------------------------------
+
+# mixed denominators, and zeros often enough for singular inputs
+mixed = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+def ref_matmul(a, b, cols):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)] for row in a]
+
+
+def ref_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def ref_reduce(a, width):
+    """Fraction Gauss-Jordan on the rows of a; returns (reduced rows, pivot columns)."""
+    rows = [list(r) for r in a]
+    pivots = []
+    for c in range(width):
+        p = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ref_solve(a, b, n, k):
+    """X with A X = B, or the error the kernel must raise."""
+    rows, pivots = ref_reduce([ra + rb for ra, rb in zip(a, b)], n + k)
+    if [c for c in pivots if c < n] != list(range(n)):
+        return "rank"
+    if len(pivots) > n:
+        return "inconsistent"
+    return [rows[i][n:] for i in range(n)]
+
+
+def check_canonical(m: Matrix, entries):
+    """den > 0, gcd(den, ints) = 1, the right shape, and ints / den is entries."""
+    assert m.den > 0
+    assert gcd(m.den, *(x for row in m.ints for x in row)) == 1
+    assert m.rows == len(entries) and all(len(row) == m.cols for row in m.ints)
+    assert [[Fraction(x, m.den) for x in row] for row in m.ints] == [list(r) for r in entries]
+    assert m.entries == tuple(tuple(r) for r in entries)
+    assert m == Matrix(entries, cols=m.cols) and hash(m) == hash(Matrix(entries, cols=m.cols))
+
+
+@st.composite
+def shaped(draw, rows: int, cols: int):
+    return [[draw(mixed) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def products(draw):
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return r, k, c, draw(shaped(r, k)), draw(shaped(k, c)), draw(shaped(1, k))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_matrix_operations_match_fraction_loops(case):
+    # 0 x n and n x 0 shapes are drawn too: canonical_data and class_membership build them
+    r, k, c, a, b, v = case
+    ma, mb = Matrix(a, cols=k), Matrix(b, cols=c)
+    check_canonical(ma, a)
+    check_canonical(mb, b)
+    check_canonical(ma @ mb, ref_matmul(a, b, c))
+    check_canonical(ma.transpose(), ref_transpose(a, k))
+    assert ma.transpose().transpose() == ma
+    assert ma.apply(v) == tuple(sum((row[j] * v[j] for j in range(k)), Fraction(0)) for row in a)
+    assert ma.rank() == len(ref_reduce(a, k)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: shaped(n, n)))
+def test_inverse_matches_fraction_loops(a):
+    n = len(a)
+    m = Matrix(a, cols=n)
+    expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n, n)
+    if expected == "rank":
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            m.inverse()
+    else:
+        check_canonical(m.inverse(), expected)
+
+
+@st.composite
+def fraction_systems(draw):
+    r, n, k = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a = draw(shaped(r, n))
+    if draw(st.booleans()):
+        b = ref_matmul(a, draw(shaped(n, k)), k)  # consistent by construction
+    else:
+        b = draw(shaped(r, k))
+    return r, n, k, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_systems())
+def test_solve_right_matches_fraction_loops(system):
+    r, n, k, a, b = system
+    expected = ref_solve(a, b, n, k)
+    ma, mb = Matrix(a, cols=n), Matrix(b, cols=k)
+    if expected == "rank":
+        with pytest.raises(ValueError, match="^coefficient matrix does not have full column rank$"):
+            solve_right(ma, mb)
+    elif expected == "inconsistent":
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
+            solve_right(ma, mb)
+    else:
+        check_canonical(solve_right(ma, mb), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=5),
+)
+@example([1, Fraction(-1, 3), 2], [1, 4, 0, 0], 2)  # <v|v> = -13/12 < 0
+def test_one_matrix_reached_by_different_routes(diag, ints, scale):
+    form = BilinearForm.diagonal(diag)
+    n = form.dim
+    v = [Fraction(x, scale) for x in ints[:n]]
+    norm = form.pairing(v, v)
+    if norm == 0:
+        return
+    r = Isometry.reflection(form, v).matrix
+    # the textbook formula, entry by entry in Fractions
+    gv = [diag[j] * v[j] for j in range(n)]
+    literal = Matrix([[Fraction(int(i == j)) - 2 * v[i] * gv[j] / norm for j in range(n)] for i in range(n)])
+    check_canonical(r, literal.entries)
+    routes = [
+        literal,
+        Isometry.reflection(form, [x * scale for x in v]).matrix,  # a rescaled vector
+        Isometry.reflection(form, [-x for x in v]).matrix,
+        Matrix.identity(n) @ r,
+        r @ r @ r,  # r is an involution
+        r.transpose().transpose(),
+        r.inverse(),
+        solve_right(Matrix.identity(n), r),
+    ]
+    for m in routes:
+        assert m == r and hash(m) == hash(r)
+        assert (m.den, m.ints) == (r.den, r.ints)
+    assert r @ r == Matrix.identity(n)

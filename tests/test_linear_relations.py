@@ -60,6 +60,35 @@ def test_graph_of_non_isometry_rejected():
         Isometry(GL11, Matrix([[2, 0], [0, 1]]))
 
 
+# a form with a fractional entry and a vector of negative norm: <v|v> = 1 - 16/3
+NEG_FORM = BilinearForm.diagonal([1, Fraction(-1, 3), 2])
+NEG_V = (1, 4, 0)
+
+
+def test_negative_norm_reflection_is_an_involution():
+    assert NEG_FORM.pairing(NEG_V, NEG_V) == Fraction(-13, 3)
+    r = Isometry.reflection(NEG_FORM, NEG_V)
+    assert r.matrix.den > 1
+    assert r.apply(NEG_V) == tuple(Fraction(-x) for x in NEG_V)
+    assert r.compose(r).is_identity()
+
+
+def test_perturbed_reflection_rejected():
+    r = Isometry.reflection(NEG_FORM, NEG_V)
+    for i in range(3):
+        for j in range(3):
+            entries = [list(row) for row in r.matrix.entries]
+            entries[i][j] += Fraction(1, 7)
+            with pytest.raises(ValueError, match="^matrix is not an isometry of the form$"):
+                Isometry(NEG_FORM, Matrix(entries))
+
+
+def test_isometry_of_the_wrong_shape_rejected():
+    for m in (Matrix.identity(2), Matrix.identity(4), Matrix([[1, 0, 0], [0, 1, 0]]), Matrix((), cols=3)):
+        with pytest.raises(ValueError, match="^matrix shape disagrees with form dimension$"):
+            Isometry(NEG_FORM, m)
+
+
 def test_graph_of_non_isometry_is_not_isotropic():
     # building the graph subspace by hand: {(v, Av)} for A doubling e1
     rows = [[1, 0, 2, 0], [0, 1, 0, 1]]
