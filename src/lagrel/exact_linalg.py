@@ -490,9 +490,6 @@ class BilinearForm:
                 total += ui * sum(map(mul, row, v))
         return total
 
-    def is_isotropic(self, v: Sequence[Rational]) -> bool:
-        return self.pairing(v, v) == 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BilinearForm) and self.gram == other.gram
 

@@ -294,10 +294,6 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     return LinearRelation(first.form, Subspace(2 * n, _echelon(out), _canonical=True))
 
 
-def atypicality(rel: LinearRelation) -> int:
-    return rel.atypicality
-
-
 def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRelation:
     """The idempotent {(v, v + w) : v in V0, w in V0-perp} for coisotropic V0."""
     if coisotropic.ambient_dim != form.dim:

@@ -121,16 +121,13 @@ class LagrangianEquivalenceRelation:
         The set S is a group iff generate_group(S), which holds the identity
         and S, equals S; the bound len(S) stops the closure of a set that is not.
         """
-        isos = tuple(sorted(
-            (isometry_of_graph(c) for c in self.components if c.atypicality == 0),
-            key=lambda s: s.sort_key(),
-        ))
+        isos = [isometry_of_graph(c) for c in self.components if c.atypicality == 0]
         try:
-            closed = generate_group(self.form, isos, len(isos)) == isos
+            group = generate_group(self.form, isos, len(isos))
         except RuntimeError:
-            closed = False
-        assert closed, "atypicality-0 components are not closed under products"
-        return isos
+            group = ()
+        assert set(group) == set(isos), "atypicality-0 components are not closed under products"
+        return group
 
     def atypicality_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(c.atypicality for c in self.components).items()))
@@ -397,15 +394,9 @@ class LagrangianEquivalenceRelation:
         split = self.split_by_decomposition(factors)
         return split is not None and all(r.is_one_regular()[0] for r in split)
 
-    def semiregular_report(self) -> list[tuple[Subspace, bool]]:
-        return [
-            (v0, self.reduce(v0).is_one_semiregular())
-            for v0 in self.special_coisotropics()
-        ]
-
     def is_semiregular(self) -> bool:
         """Every reduction by a special coisotropic is 1-semiregular."""
-        return all(ok for _, ok in self.semiregular_report())
+        return all(self.reduce(v0).is_one_semiregular() for v0 in self.special_coisotropics())
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:

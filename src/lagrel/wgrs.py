@@ -9,7 +9,6 @@ for isotropic alpha.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -84,8 +83,6 @@ class IsoSet:
         return len(self.pairs)
 
     def span_in(self, ambient_dim: int) -> Subspace:
-        if not self.pairs:
-            return Subspace.zero(ambient_dim)
         return Subspace.from_vectors(self.pairs, ambient_dim=ambient_dim)
 
     def __eq__(self, other) -> bool:
@@ -284,68 +281,25 @@ class RootSystem:
     # -- two-reflection witnesses -------------------------------------------------
 
     def _connecting_anisotropic(self, beta: Vector, beta_p: Vector) -> Vector:
-        """An anisotropic root non-orthogonal to both of two orthogonal isotropic roots.
+        """The first anisotropic root non-orthogonal to both of two isotropic roots.
 
-        Tries the chain construction first: a shortest all-isotropic chain in
-        the non-orthogonality graph, sign-adjusted partial sums, and the last
-        two sums give a non-isotropic candidate.  A direct scan of the
-        anisotropic roots is the fallback.
+        Such a root joins beta and beta_p in the non-orthogonality graph, so
+        none exists when they lie in orthogonal indecomposable components.
         """
-        rootset = set(self.roots)
-
-        def good(d: Vector) -> bool:
-            return (
-                self.form.pairing(d, beta) != 0
-                and self.form.pairing(d, beta_p) != 0
-                and self.form.pairing(d, d) != 0
-            )
-
-        chain = self._iso_chain(beta, beta_p)
-        if chain is not None:
-            delta_prev: Vector | None = None
-            delta = chain[0]
-            valid = True
-            for nxt in chain[1:]:
-                up = tuple(x + y for x, y in zip(delta, nxt))
-                down = tuple(x - y for x, y in zip(delta, nxt))
-                if up in rootset:
-                    delta_prev, delta = delta, up
-                elif down in rootset:
-                    delta_prev, delta = delta, down
-                else:
-                    valid = False
-                    break
-            if valid:
-                for cand in (delta, delta_prev):
-                    if cand is not None and good(cand):
-                        return cand
         for d in self.aniso_roots:
-            if good(d):
+            if self.form.pairing(d, beta) != 0 and self.form.pairing(d, beta_p) != 0:
                 return d
         raise ValueError("no anisotropic root connects the two isotropic roots")
-
-    def _iso_chain(self, beta: Vector, beta_p: Vector) -> list[Vector] | None:
-        """Shortest chain of pairwise non-orthogonal isotropic roots, by BFS."""
-        prev: dict[Vector, Vector] = {beta: beta}
-        queue = deque([beta])
-        while queue:
-            cur = queue.popleft()
-            if cur == beta_p:
-                chain = [cur]
-                while chain[-1] != beta:
-                    chain.append(prev[chain[-1]])
-                return list(reversed(chain))
-            for nxt in self.iso_roots:
-                if nxt not in prev and self.form.pairing(cur, nxt) != 0:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        return None
 
     def two_step_witness(self, beta: Sequence[Rational], beta_p: Sequence[Rational]) -> Isometry:
         """w, a product of at most two anisotropic reflections, with w(beta) = +-beta_p.
 
-        In the orthogonal case the witness additionally satisfies w^2 = id and
-        acts as the identity on span(beta, beta_p)-perp modulo span(beta, beta_p).
+        In the orthogonal case w = s_gamma' s_gamma with the roots
+        gamma = beta - beta1 and gamma' = +-beta_p - beta1, where
+        beta1 = +-s_delta(beta) and delta comes from _connecting_anisotropic.
+        This w also satisfies w^2 = id and acts as the identity on
+        span(beta, beta_p)-perp modulo span(beta, beta_p).  Roots in orthogonal
+        indecomposable components have no such delta, and ValueError is raised.
         """
         self.require_valid()
         b = as_vector(beta)
@@ -368,9 +322,6 @@ class RootSystem:
             w = self.reflection(gamma)
             assert w.apply(b) in (bp, neg_bp)
             return w
-        comp = next(c for c in self.indecomposable_components() if b in c)
-        if bp not in comp:
-            raise ValueError("roots lie in orthogonal indecomposable components")
         delta = self._connecting_anisotropic(b, bp)
         beta1 = self.reflection(delta).apply(b)
         assert beta1 in rootset
@@ -396,27 +347,13 @@ class RootSystem:
 
     # -- transport of iso-sets ----------------------------------------------------
 
-    def _check_maximal_isoset(self, s: IsoSet, v: Vector):
-        rootset = set(self.roots)
-        for p in s.pairs:
-            if p not in rootset or self.form.pairing(p, p) != 0:
-                raise ValueError("iso-set contains a non-root or anisotropic vector")
-            if self.form.pairing(p, v) != 0:
-                raise ValueError("iso-set is not orthogonal to the base vector")
-        for p in s.pairs:
-            for t in s.pairs:
-                if self.form.pairing(p, t) != 0:
-                    raise ValueError("iso-set is not pairwise orthogonal")
-        for cand in self._orthogonal_iso_pairs(v):
-            if cand not in s.pairs and all(self.form.pairing(cand, p) == 0 for p in s.pairs):
-                raise ValueError("iso-set is not maximal relative to the base vector")
-
     def transport_isoset(self, v: Sequence[Rational], s: IsoSet, s_prime: IsoSet) -> Isometry:
         """w in Stab_W(v) with w(S) = S', by swapping one pair at a time."""
         self.require_valid()
         vv = as_vector(v)
-        self._check_maximal_isoset(s, vv)
-        self._check_maximal_isoset(s_prime, vv)
+        maximal = self.maximal_isosets(vv)
+        if s not in maximal or s_prime not in maximal:
+            raise ValueError("iso-set is not a maximal iso-set orthogonal to the base vector")
         rootset = set(self.roots)
         current = s
         w = Isometry.identity(self.form)
@@ -535,8 +472,7 @@ class RootSystem:
                 if any(img):
                     images.add(img)
         reduced = RootSystem(q.induced_form, images)
-        report = reduced.validate()
-        if not report.ok:
+        if not reduced._valid.ok:
             raise RuntimeError("reduction produced an invalid root system")
         return reduced
 
@@ -630,9 +566,8 @@ def catalog(name: str, *params: int) -> RootSystem:
         rs = RootSystem(form, _osp_roots(m, n, bool(odd)))
     else:
         raise ValueError(f"unknown catalog family: {name}")
-    report = rs.validate()
-    if not report.ok:
-        raise RuntimeError("catalog entry failed validation: " + "; ".join(report.failures[:3]))
+    if not rs._valid.ok:
+        raise RuntimeError("catalog entry failed validation: " + "; ".join(rs._valid.failures[:3]))
     return rs
 
 

@@ -253,3 +253,29 @@ def test_zero_denominator_in_root_system_file_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "1/0" in err
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze")
+    assert code == 1
+    assert out == "" and "required" in err
+    path = build_gl11(tmp_path, capsys)
+    # discriminant reads no degree, so the option is gone
+    code, out, err = run(capsys, "discriminant", str(path), "--degree", "3")
+    assert code == 1
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_invalid_root_system_file_exit_1(tmp_path, capsys):
+    path = build_gl11(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    payload["roots"] = payload["roots"][:1]  # -alpha missing
+    path.write_text(json.dumps(payload))
+    errors = []
+    for argv in (("analyze", str(path)), ("wgrs", "relation", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "symmetry" in err
+        errors.append(err)
+    assert errors[0] == errors[1]

@@ -5,7 +5,8 @@ sha256 of the written report with a digest recorded before the exact kernel
 was unified.  A refactor of the linear algebra or the polynomial code must
 leave all of them unchanged; a deliberate output change must re-record them
 and say why.  One more pin covers the payload bytes of the seeded random
-relations that `verify monoid` draws.
+relations that `verify monoid` draws, and one more the stdout of the fixed
+`verify` suites.
 """
 
 from __future__ import annotations
@@ -131,3 +132,34 @@ def test_random_corpus_bytes():
         for rel in (random_lagrangian(form, rng), random_lagrangian(form, rng)):
             digest.update(json.dumps(relation_to_payload(rel), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == RANDOM_CORPUS
+
+
+# stdout of `lagrel verify <suite>` at the default seed 0
+VERIFY_STDOUT = {
+    "wgrs": (
+        "PASS component_description: 13 ok, 0 failed (seed=0)\n"
+        "PASS isoset_cardinality: 13 ok, 0 failed (seed=0)\n"
+        "PASS two_step_witness: 188 ok, 0 failed (seed=0)\n"
+    ),
+    "invariants": (
+        "PASS baby_dimensions: 1 ok, 0 failed (seed=0)\n"
+        "PASS pointwise_invariance: 90 ok, 0 failed (seed=0)\n"
+        "PASS weyl_containment: 3 ok, 0 failed (seed=0)\n"
+    ),
+    "reduction": (
+        "PASS reduction_square: 7 ok, 0 failed (seed=0)\n"
+        "PASS semiregular: 3 ok, 0 failed (seed=0)\n"
+    ),
+    "product": (
+        "PASS evaluation_points: 1 ok, 0 failed (seed=0)\n"
+        "PASS product_dimension_formula: 5 ok, 0 failed (seed=0)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_STDOUT))
+def test_verify_stdout_bytes(suite, capsys):
+    """The check counts of each fixed suite; `verify wgrs` is the only caller
+    that runs `two_step_witness` on every isotropic pair of osp(3|2)."""
+    assert main(["verify", suite]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT[suite]

@@ -1,0 +1,76 @@
+"""Static checks on the package source: no unused imports, no dead private helpers.
+
+Both checks read `src/lagrel` with the standard library's `ast` only, so they
+run without importing the package.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagrel"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read (`x`), attributes read (`obj.x`) and names imported from a module."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings listed in a module-level `__all__`."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return {elt.value for elt in stmt.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)} | _exported(tree)
+    unused = []
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert unused == []
+
+
+def _private_functions():
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield module, node
+
+
+def test_every_private_function_is_referenced():
+    total = Counter()
+    for tree in MODULES.values():
+        total += _references(tree)
+    dead = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in _private_functions()
+        if total[node.name] - _references(node)[node.name] <= 0
+    ]
+    assert dead == []

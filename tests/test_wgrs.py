@@ -187,6 +187,17 @@ def test_two_step_rejects_anisotropic():
         rs.two_step_witness((1, -1, 0), (1, 0, -1))
 
 
+def test_two_step_rejects_orthogonal_components():
+    # gl(2|1) + gl(1|1): the anisotropic roots +-(e1 - e2) pair with beta only
+    form = BilinearForm.diagonal([1, 1, -1, 1, -1])
+    gl21 = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1)]
+    roots = [r + (0, 0) for r in gl21] + [(0, 0, 0, 1, -1), (0, 0, 0, -1, 1)]
+    rs = RootSystem(form, roots)
+    assert rs.validate().ok and len(rs.indecomposable_components()) == 2
+    with pytest.raises(ValueError):
+        rs.two_step_witness((1, 0, -1, 0, 0), (0, 0, 0, 1, -1))
+
+
 def test_transport_isoset_identity_and_swap():
     rs = catalog("gl", 2, 1)
     mx = rs.maximal_isosets()
@@ -380,3 +391,16 @@ def test_reduction_square_commutes(name, m, n):
 def test_payload_round_trip():
     rs = catalog("osp", 3, 2)
     assert rootsystem_from_payload(rootsystem_to_payload(rs)) == rs
+
+
+def test_transport_rejects_isoset_not_orthogonal_to_v():
+    rs = catalog("gl", 2, 2)
+    v = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    mx_v = rs.maximal_isosets(v)
+    assert mx_v
+    # maximal in V, but it holds a root through e1, which pairs with v
+    wide = next(s for s in rs.maximal_isosets() if any(rs.form.pairing(p, v) for p in s.pairs))
+    with pytest.raises(ValueError):
+        rs.transport_isoset(v, wide, mx_v[0])
+    with pytest.raises(ValueError):
+        rs.transport_isoset(v, mx_v[0], wide)
