@@ -38,7 +38,6 @@ from .relation_monoid import (
 )
 from .invariants import (
     DiscriminantPolynomial,
-    GradedInvariantBasis,
     Polynomial,
     Separation,
     discriminant_polynomial,
@@ -48,6 +47,7 @@ from .invariants import (
     product_invariant_check,
     restriction_map,
     separate,
+    verify_invariants,
     weyl_invariant_space,
 )
 from .wgrs import IsoSet, RootSystem, catalog
@@ -59,7 +59,6 @@ __all__ = [
     "ClosureBoundExceeded",
     "ClosureConfig",
     "DiscriminantPolynomial",
-    "GradedInvariantBasis",
     "IsoSet",
     "Isometry",
     "LagrangianEquivalenceRelation",
@@ -94,6 +93,7 @@ __all__ = [
     "restriction_map",
     "rref",
     "separate",
+    "verify_invariants",
     "weyl_invariant_space",
     "__version__",
 ]

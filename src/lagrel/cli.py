@@ -27,7 +27,6 @@ from .exact_linalg import (
     vector_to_payload,
 )
 from .invariants import (
-    GradedInvariantBasis,
     Separation,
     contains_polynomial,
     discriminant_polynomial,
@@ -69,9 +68,14 @@ def _load_json(path: str) -> tuple[dict, bytes]:
     return json.loads(raw.decode("utf-8")), raw
 
 
+def _closure_config(max_components: int | None) -> ClosureConfig | None:
+    """The closure bound given on the command line; None keeps the default."""
+    return None if max_components is None else ClosureConfig(max_components=max_components)
+
+
 def _relation_from_file(payload: dict, max_components: int | None):
     """Build the relation described by a wgrs or generator file."""
-    config = ClosureConfig(max_components=max_components) if max_components else None
+    config = _closure_config(max_components)
     if "roots" in payload:
         rs = rootsystem_from_payload(payload)
         return rs, rs.build_relation(config=config)
@@ -141,16 +145,13 @@ def _separation_payload(result: Separation) -> dict:
 def cmd_invariants(args) -> int:
     payload, raw = _load_json(args.input)
     _, rel = _relation_from_file(payload, args.max_components)
-    graded = GradedInvariantBasis(rel, args.degree)
+    bases = [invariant_space(rel, d) for d in range(args.degree + 1)]
     report = _report_header(raw)
     report.update(
         {
             "n": rel.n,
-            "invariant_dimensions": graded.dimensions(),
-            "bases": {
-                str(d): [polynomial_to_payload(p) for p in graded.basis(d)]
-                for d in range(args.degree + 1)
-            },
+            "invariant_dimensions": [len(b) for b in bases],
+            "bases": {str(d): [polynomial_to_payload(p) for p in b] for d, b in enumerate(bases)},
         }
     )
     _emit(report, args.out)
@@ -215,8 +216,7 @@ def cmd_wgrs_validate(args) -> int:
 def cmd_wgrs_relation(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
-    config = ClosureConfig(max_components=args.max_components) if args.max_components else None
-    rel = rs.build_relation(config=config)
+    rel = rs.build_relation(config=_closure_config(args.max_components))
     report = _report_header(raw)
     report.update(
         {

@@ -6,6 +6,9 @@ invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 time: the constraints from each component are expanded symbolically over Q
 and intersected as exact nullspaces.  Bases are normalized in graded
 lexicographic order for reproducibility.
+
+C[V]^W of a finite group W of isometries is computed by the same solver, as
+the invariants of the relation made of the graphs of the elements of W.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .exact_linalg import (
     rational,
     solve_right,
 )
-from .linear_relations import Isometry, diagonal
+from .linear_relations import Isometry, diagonal, graph
 from .relation_monoid import LagrangianEquivalenceRelation
 
 
@@ -319,73 +322,24 @@ def invariant_dimensions(relation: LagrangianEquivalenceRelation, max_degree: in
     return [len(invariant_space(relation, d)) for d in range(max_degree + 1)]
 
 
-class GradedInvariantBasis:
-    """Per-degree bases of homogeneous invariants of one relation.
-
-    Only the graded slices are ever materialized; the full ring can be
-    non-Noetherian.  The degree-0 basis is always the constant 1.
-    """
-
-    __slots__ = ("relation", "bases")
-
-    def __init__(self, relation: LagrangianEquivalenceRelation, max_degree: int):
-        bases = tuple(invariant_space(relation, d) for d in range(max_degree + 1))
-        assert bases[0] == [Polynomial.one(relation.n)]
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "bases", bases)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("GradedInvariantBasis is immutable")
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.bases) - 1
-
-    def basis(self, degree: int) -> list[Polynomial]:
-        return list(self.bases[degree])
-
-    def dimension(self, degree: int) -> int:
-        return len(self.bases[degree])
-
-    def dimensions(self) -> list[int]:
-        return [len(b) for b in self.bases]
-
-    def verify(self) -> bool:
-        """Recheck symbolically that every basis element is invariant on every component."""
-        n = self.relation.n
-        for comp in self.relation.components:
-            d = comp.space.dim
-            m1 = _matrix(1, ([comp.space.rows[k][i] for k in range(d)] for i in range(n)), d)
-            m2 = _matrix(1, ([comp.space.rows[k][n + i] for k in range(d)] for i in range(n)), d)
-            for basis in self.bases:
-                for f in basis:
-                    if f.compose_linear(m1) != f.compose_linear(m2):
-                        return False
-        return True
+def verify_invariants(relation: LagrangianEquivalenceRelation, polys: Sequence[Polynomial]) -> bool:
+    """Recheck symbolically that every polynomial is invariant on every component."""
+    n = relation.n
+    for comp in relation.components:
+        d = comp.space.dim
+        m1 = _matrix(1, ([comp.space.rows[k][i] for k in range(d)] for i in range(n)), d)
+        m2 = _matrix(1, ([comp.space.rows[k][n + i] for k in range(d)] for i in range(n)), d)
+        for f in polys:
+            if f.compose_linear(m1) != f.compose_linear(m2):
+                return False
+    return True
 
 
 def weyl_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynomial]:
-    """Nullspace of the (f o s - f) constraints over the given group elements."""
+    """Slice of C[V]^W: the invariants of the relation made of the graphs of W."""
     if not group:
         raise ValueError("need at least one isometry to infer the space")
-    n = group[0].form.dim
-    if degree == 0:
-        return [Polynomial.one(n)]
-    mons = monomials(n, degree)
-    basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))
-    for s in group:
-        if s.is_identity() or not basis:
-            continue
-        scale, m_int = s.matrix.den, s.matrix.ints
-        sub = _int_substitution(m_int, degree)
-        factor = scale ** degree
-        delta = {}
-        for e in mons:
-            col = dict(sub[e])
-            col[e] = col.get(e, 0) - factor
-            delta[e] = {k: v for k, v in col.items() if v}
-        basis = _intersect_constraints(basis, delta, mons, n, degree)
-    return _rows_to_polynomials(basis, mons, n)
+    return invariant_space(LagrangianEquivalenceRelation(group[0].form, map(graph, group)), degree)
 
 
 def reynolds_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynomial]:

@@ -279,3 +279,13 @@ def test_invalid_root_system_file_exit_1(tmp_path, capsys):
         assert err.startswith("error: ") and "symmetry" in err
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+def test_zero_max_components_exit_1(tmp_path, capsys):
+    # 0 is a bound like any other, not "no bound given"
+    path = build_gl11(tmp_path, capsys)
+    for argv in (("wgrs", "relation", str(path)), ("analyze", str(path))):
+        code, out, err = run(capsys, *argv, "--max-components", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: closure bounds must be positive\n"

@@ -1,6 +1,7 @@
-"""Static checks on the package source: no unused imports, no dead private helpers.
+"""Static checks on the package source: no unused imports, no dead private helpers,
+and a package `__all__` that matches what `__init__.py` imports.
 
-Both checks read `src/lagrel` with the standard library's `ast` only, so they
+Every check reads `src/lagrel` with the standard library's `ast` only, so they
 run without importing the package.
 """
 
@@ -74,3 +75,21 @@ def test_every_private_function_is_referenced():
         if total[node.name] - _references(node)[node.name] <= 0
     ]
     assert dead == []
+
+
+def test_package_exports_match_its_imports():
+    tree = MODULES["__init__.py"]
+    imported = {
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+        for alias in stmt.names
+    }
+    assigned = {
+        t.id for stmt in tree.body if isinstance(stmt, ast.Assign) for t in stmt.targets
+        if isinstance(t, ast.Name)
+    }
+    exported = _exported(tree)
+    # every listed name resolves on the package, and every imported name is listed
+    assert sorted(exported - imported - assigned) == []
+    assert sorted(imported - exported) == []

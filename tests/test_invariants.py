@@ -30,11 +30,12 @@ from lagrel.invariants import (
     reynolds_invariant_space,
     separate,
     span_rows,
+    verify_invariants,
     weyl_invariant_space,
 )
 from lagrel.linear_relations import Isometry, idempotent_relation
 from lagrel.relation_monoid import closure
-from lagrel.wgrs import catalog
+from lagrel.wgrs import catalog, rootsystem_from_payload
 
 
 # -- oracle: the one-line-collapse model -------------------------------------
@@ -119,9 +120,18 @@ def test_weyl_invariants_examples():
 
 
 def test_weyl_invariants_match_reynolds(gl21, gl22):
-    for rel in (gl21, gl22):
-        group = list(rel.weyl_group)
-        for d in (1, 2, 3):
+    # A2 under the form diag(1, 3): W = S3 with reflection entries -1/2, so the
+    # graphs of W are built from isometries with a denominator
+    a2_skewed = rootsystem_from_payload({
+        "gram": [["1", "0"], ["0", "3"]],
+        "roots": [["2", "0"], ["-2", "0"], ["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]],
+    })
+    groups = [list(rel.weyl_group) for rel in (gl21, gl22)]
+    groups += [list(catalog(*entry).weyl_group()) for entry in (("gl", 3, 1), ("osp", 3, 2))]
+    groups.append(list(a2_skewed.weyl_group()))
+    assert len(groups[-1]) == 6 and any(w.matrix.den == 2 for w in groups[-1])
+    for group in groups:
+        for d in (1, 2, 3, 4):
             a = weyl_invariant_space(group, d)
             b = reynolds_invariant_space(group, d)
             assert span_rows(a, d) == span_rows(b, d)
@@ -275,13 +285,13 @@ def test_polynomial_payload_round_trip():
 
 
 def test_graded_invariant_basis(gl11):
-    from lagrel.invariants import GradedInvariantBasis
-
-    graded = GradedInvariantBasis(gl11, 4)
-    assert graded.dimensions() == [1, 1, 2, 3, 4]
-    assert graded.max_degree == 4
-    assert graded.basis(0) == [Polynomial.one(2)]
-    assert graded.verify()
+    bases = [invariant_space(gl11, d) for d in range(5)]
+    assert [len(b) for b in bases] == [1, 1, 2, 3, 4]
+    assert bases[0] == [Polynomial.one(2)]
+    assert verify_invariants(gl11, [f for b in bases for f in b])
+    # the degree-1 slice is spanned by x0 + x1, so x0 alone is not invariant
+    x0 = Polynomial.monomial(2, (1, 0))
+    assert not verify_invariants(gl11, bases[1] + [x0])
 
 
 def test_compose_linear_matches_evaluation_with_fractions():
