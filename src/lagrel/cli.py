@@ -39,14 +39,14 @@ from .invariants import (
     weyl_invariant_space,
 )
 from .linear_relations import (
+    LinearRelation,
     canonical_data,
     classify_idempotent,
     compose,
+    inverse,
+    random_pairs,
     relation_from_data,
     relation_from_payload,
-    inverse,
-    random_lagrangian,
-    suite_form,
 )
 from .relation_monoid import (
     ClosureBoundExceeded,
@@ -77,14 +77,21 @@ def _relation_from_file(payload: dict, max_components: int | None):
     """Build the relation described by a wgrs or generator file."""
     config = _closure_config(max_components)
     if "roots" in payload:
-        rs = rootsystem_from_payload(payload)
-        return rs, rs.build_relation(config=config)
+        return rootsystem_from_payload(payload).build_relation(config=config)
     if "generators" in payload:
         gram = payload["form"]
         form = BilinearForm(matrix_from_payload(gram, cols=len(gram)))
         gens = [relation_from_payload(g, form=form) for g in payload["generators"]]
-        return None, closure(form, gens, config)
+        return closure(form, gens, config)
     raise ValueError("input file needs either a 'roots' or a 'generators' key")
+
+
+def _degree(text: str) -> int:
+    """argparse type of --degree and --dmax: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _emit(payload: dict, out: str | None):
@@ -106,7 +113,7 @@ def _report_header(raw: bytes) -> dict:
 
 def cmd_analyze(args) -> int:
     payload, raw = _load_json(args.input)
-    _, rel = _relation_from_file(payload, args.max_components)
+    rel = _relation_from_file(payload, args.max_components)
     ok_1reg, witness = rel.is_one_regular()
     report = _report_header(raw)
     report.update(
@@ -144,7 +151,7 @@ def _separation_payload(result: Separation) -> dict:
 
 def cmd_invariants(args) -> int:
     payload, raw = _load_json(args.input)
-    _, rel = _relation_from_file(payload, args.max_components)
+    rel = _relation_from_file(payload, args.max_components)
     bases = [invariant_space(rel, d) for d in range(args.degree + 1)]
     report = _report_header(raw)
     report.update(
@@ -160,7 +167,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_separate(args) -> int:
     payload, raw = _load_json(args.input)
-    _, rel = _relation_from_file(payload, args.max_components)
+    rel = _relation_from_file(payload, args.max_components)
     result = separate(rel, _parse_vector(args.x), _parse_vector(args.y), args.dmax)
     report = _report_header(raw)
     report["separation"] = _separation_payload(result)
@@ -171,7 +178,7 @@ def cmd_separate(args) -> int:
 
 def cmd_discriminant(args) -> int:
     payload, raw = _load_json(args.input)
-    _, rel = _relation_from_file(payload, args.max_components)
+    rel = _relation_from_file(payload, args.max_components)
     disc = discriminant_polynomial(rel)
     report = _report_header(raw)
     report.update(
@@ -265,44 +272,31 @@ def cmd_wgrs_classes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
-    """Monoid laws, atypicality bounds and structure lemmas on random pairs."""
-    rng = random.Random(seed)
-    counts: dict[str, list[int]] = {
-        "composition_lagrangian": [0, 0],
-        "kernel_dims_equal": [0, 0],
-        "atypicality_bounds": [0, 0],
-        "image_is_kernel_complement": [0, 0],
-        "inverse_composition_idempotent": [0, 0],
-        "canonical_data_round_trip": [0, 0],
+def monoid_checks(
+    form: BilinearForm, a: LinearRelation, b: LinearRelation
+) -> tuple[LinearRelation, dict[str, bool]]:
+    """The composite c = compose(a, b) and the six named monoid checks on the pair."""
+    dim = form.dim
+    c = compose(a, b)
+    p1k2 = Subspace(dim, [r[:dim] for r in a.k2.rows])
+    return c, {
+        "composition_lagrangian": c.is_lagrangian and c.dim == dim,
+        "kernel_dims_equal": all(r.dim - r.p1.dim == r.dim - r.p2.dim for r in (a, b, c)),
+        "atypicality_bounds": (
+            max(a.atypicality, b.atypicality) <= c.atypicality <= a.atypicality + b.atypicality
+        ),
+        "image_is_kernel_complement": orth_complement(form, p1k2) == a.p1,
+        "inverse_composition_idempotent": classify_idempotent(compose(a, inverse(a))) == a.p1,
+        "canonical_data_round_trip": relation_from_data(form, *canonical_data(a)) == a,
     }
 
-    def tally(name, ok):
-        counts[name][0 if ok else 1] += 1
 
-    for i in range(pairs):
-        dim = 2 + (i % 5)
-        form = suite_form(dim)
-        a = random_lagrangian(form, rng)
-        b = random_lagrangian(form, rng)
-        c = compose(a, b)
-        tally("composition_lagrangian", c.is_lagrangian and c.dim == dim)
-        tally(
-            "kernel_dims_equal",
-            a.dim - a.p1.dim == a.dim - a.p2.dim and b.dim - b.p1.dim == b.dim - b.p2.dim,
-        )
-        tally(
-            "atypicality_bounds",
-            max(a.atypicality, b.atypicality) <= c.atypicality <= a.atypicality + b.atypicality,
-        )
-        k2_first = a.k2
-        first_half = [r[:dim] for r in k2_first.rows]
-        p1k2 = Subspace(dim, first_half)
-        tally("image_is_kernel_complement", orth_complement(form, p1k2) == a.p1)
-        e = compose(a, inverse(a))
-        tally("inverse_composition_idempotent", classify_idempotent(e) == a.p1)
-        v0, v0p, alpha = canonical_data(a)
-        tally("canonical_data_round_trip", relation_from_data(form, v0, v0p, alpha) == a)
+def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
+    """Monoid laws, atypicality bounds and structure lemmas on random pairs."""
+    counts: dict[str, list[int]] = {}
+    for form, a, b in random_pairs(seed, pairs):
+        for name, ok in monoid_checks(form, a, b)[1].items():
+            counts.setdefault(name, [0, 0])[0 if ok else 1] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
 
 
@@ -373,12 +367,7 @@ def suite_reduction(seed: int) -> dict[str, tuple[int, int]]:
         rs = catalog(name, a, b)
         rel = rs.build_relation(check=False)
         counts["semiregular"][0 if rel.is_semiregular() else 1] += 1
-        seen = set()
-        for alpha in rs.iso_roots:
-            key = tuple(sorted([alpha, tuple(-x for x in alpha)]))
-            if key in seen:
-                continue
-            seen.add(key)
+        for alpha in rs.iso_pairs():
             v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
             reduced_rel = rel.reduce(v0)
             rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
@@ -446,20 +435,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full structural report")
     common(p)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--degree", type=_degree, default=4)
+    p.add_argument("--dmax", type=_degree, default=6)
     p.add_argument("--x", default=None, help="comma separated rationals")
     p.add_argument("--y", default=None, help="comma separated rationals")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("invariants", help="graded invariant bases")
     common(p)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_degree, default=4)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("separate", help="search for a separating invariant")
     common(p)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--dmax", type=_degree, default=6)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(func=cmd_separate)

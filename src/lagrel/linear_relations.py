@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
     BilinearForm,
@@ -321,8 +321,8 @@ def classify_idempotent(rel: LinearRelation) -> Subspace:
     v0 = rel.p1
     if rel.p2 != v0:
         raise ValueError("idempotent has distinct images; not a plain collapse")
-    rebuilt = idempotent_relation(rel.form, v0)
-    assert rebuilt.space == rel.space, "idempotent does not match its collapse form"
+    if idempotent_relation(rel.form, v0).space != rel.space:
+        raise AssertionError("idempotent does not match its collapse form")
     return v0
 
 
@@ -489,3 +489,11 @@ def random_lagrangian(form: BilinearForm, rng: random.Random) -> LinearRelation:
     e = idempotent_relation(form, random_coisotropic(form, rng))
     g = graph(random_isometry(form, rng))
     return compose(e, g)
+
+
+def random_pairs(seed: int, count: int) -> Iterator[tuple[BilinearForm, LinearRelation, LinearRelation]]:
+    """The seeded corpus of `verify monoid`: count triples (form, a, b), dim V = 2 + (i mod 5)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        form = suite_form(2 + i % 5)
+        yield form, random_lagrangian(form, rng), random_lagrangian(form, rng)

@@ -9,7 +9,6 @@ bound as the only termination guarantee.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,10 +110,6 @@ class LagrangianEquivalenceRelation:
     # -- basic structure ----------------------------------------------------
 
     @cached_property
-    def unit(self) -> LinearRelation:
-        return diagonal(self.form)
-
-    @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
         """The group of atypicality-0 components, as isometries of V.
 
@@ -154,19 +149,13 @@ class LagrangianEquivalenceRelation:
         pair = xv + yv
         return any(c.space.contains_vector(pair) for c in self.components)
 
-    def verify_closed(self, exhaustive: bool = True, rng: random.Random | None = None,
-                      samples: int = 200) -> bool:
-        """Audit closure under inverse and composition (exhaustively or sampled)."""
+    def verify_closed(self) -> bool:
+        """Audit closure under inverse and under composition of every pair."""
         for c in self.components:
             if inverse(c).space not in self._spaces:
                 return False
         comps = self.components
-        if exhaustive:
-            pairs = [(a, b) for a in comps for b in comps]
-        else:
-            rng = rng or random.Random(0)
-            pairs = [(rng.choice(comps), rng.choice(comps)) for _ in range(samples)]
-        return all(compose(a, b).space in self._spaces for a, b in pairs)
+        return all(compose(a, b).space in self._spaces for a in comps for b in comps)
 
     # -- reduction ----------------------------------------------------------
 
@@ -268,7 +257,7 @@ class LagrangianEquivalenceRelation:
         Supports are grouped by non-orthogonality; class spans contained in the
         span of the other classes are redundant and dropped; degenerate class
         spans are grown to nondegenerate subspaces by adjoining dual partners.
-        The result is only a candidate: verify_decomposition decides.
+        The result is only a candidate: split_by_decomposition decides.
         """
         sups = []
         for comp in self.components:
@@ -375,7 +364,7 @@ class LagrangianEquivalenceRelation:
         out = []
         for idx in range(len(factors)):
             rel = LagrangianEquivalenceRelation(forms[idx], factor_comps[idx].values())
-            if not rel.verify_closed(exhaustive=len(rel) <= 24, samples=100):
+            if not rel.verify_closed():
                 return None
             out.append(rel)
         return out

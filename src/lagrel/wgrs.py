@@ -232,11 +232,11 @@ class RootSystem:
             groups.setdefault(find(i), []).append(r)
         return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
-    def iso_sets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
-        """All iso-sets (orthogonal to v when given), the empty one included."""
-        return self._iso_sets(self._orthogonal_iso_pairs(v))
+    def iso_sets(self) -> tuple[IsoSet, ...]:
+        """All iso-sets, the empty one included."""
+        return self._iso_sets(self.iso_pairs())
 
-    def _iso_sets(self, pairs: list[Vector]) -> tuple[IsoSet, ...]:
+    def _iso_sets(self, pairs: Sequence[Vector]) -> tuple[IsoSet, ...]:
         out = []
 
         def extend(chosen: list[Vector], rest: list[Vector]):
@@ -407,10 +407,8 @@ class RootSystem:
         """
         self.require_valid()
         rel = closure(self.form, self.relation_generators(), config)
-        if check:
-            expected = self.described_components()
-            actual = {c.space for c in rel.components}
-            assert actual == expected, "closure disagrees with the Weyl/iso-set description"
+        if check and {c.space for c in rel.components} != self.described_components():
+            raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 
     def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, exact arithmetic throughout.
 
 Each test prints a PASS line with its measured numbers; stated time budgets
-are asserted with a monotonic clock.  Shared corpora are built once.
+are asserted with a monotonic clock.  Shared corpora are built once.  Criteria
+1-3, 7 and 11 assert on the checks that the `verify` suites tally.
 """
 
 from __future__ import annotations
@@ -11,25 +12,21 @@ import time
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _echelon, orth_complement
+from lagrel.cli import monoid_checks, suite_product, suite_reduction
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _echelon
 from lagrel.invariants import (
     discriminant_polynomial,
     invariant_space,
     monomials,
-    product_invariant_check,
     restriction_map,
     separate,
     weyl_invariant_space,
 )
 from lagrel.linear_relations import (
-    canonical_data,
     classify_idempotent,
     compose,
     idempotent_relation,
-    inverse,
-    random_lagrangian,
-    relation_from_data,
-    suite_form,
+    random_pairs,
 )
 from lagrel.relation_monoid import closure
 from lagrel.wgrs import catalog
@@ -41,19 +38,16 @@ PAIRS = 1000
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """1000 random Lagrangian pairs over dims 2..6 plus their compositions."""
-    rng = random.Random(SEED)
-    items = []
+def checked():
+    """The six monoid checks of `verify monoid` on its corpus at SEED, with each composite."""
     start = time.monotonic()
-    for i in range(PAIRS):
-        dim = 2 + (i % 5)
-        form = suite_form(dim)
-        a = random_lagrangian(form, rng)
-        b = random_lagrangian(form, rng)
-        items.append((form, a, b, compose(a, b)))
-    elapsed = time.monotonic() - start
-    return items, elapsed
+    results = [monoid_checks(form, a, b) for form, a, b in random_pairs(SEED, PAIRS)]
+    return results, time.monotonic() - start
+
+
+def failures(results, *names):
+    """(pair index, check name) for every named check that failed."""
+    return [(i, name) for i, (_, checks) in enumerate(results) for name in names if not checks[name]]
 
 
 def catalog_entries(max_dim):
@@ -62,51 +56,30 @@ def catalog_entries(max_dim):
     return out
 
 
-def test_criterion_01_monoid_laws(corpus):
-    items, elapsed = corpus
-    for form, a, b, c in items:
-        assert c.is_lagrangian
-        assert c.dim == form.dim
+def test_criterion_01_monoid_laws(checked):
+    results, elapsed = checked
+    assert failures(results, "composition_lagrangian") == []
     assert elapsed < 30.0, f"monoid corpus took {elapsed:.1f}s"
-    print(f"PASS criterion 1: {len(items)} compositions Lagrangian of full dim in {elapsed:.1f}s")
+    print(f"PASS criterion 1: {len(results)} compositions Lagrangian of full dim in {elapsed:.1f}s")
 
 
-def test_criterion_02_atypicality(corpus):
-    items, _ = corpus
-    for form, a, b, c in items:
-        for rel in (a, b, c):
-            assert rel.dim - rel.p1.dim == rel.dim - rel.p2.dim
-        assert max(a.atypicality, b.atypicality) <= c.atypicality
-        assert c.atypicality <= a.atypicality + b.atypicality
-    print(f"PASS criterion 2: kernel dims equal and atypicality bounds hold on {len(items)} pairs")
+def test_criterion_02_atypicality(checked):
+    results, _ = checked
+    assert failures(results, "kernel_dims_equal", "atypicality_bounds") == []
+    print(f"PASS criterion 2: kernel dims equal and atypicality bounds hold on {len(results)} pairs")
 
 
-def test_criterion_03_structure_lemmas(corpus):
-    items, _ = corpus
-    classified = 0
-    for form, a, b, c in items:
-        n = form.dim
-        # p1(L) is the orthogonal complement of p1(K2)
-        k2_first = [r[:n] for r in a.k2.rows]
-        p1k2 = (
-            Subspace.from_vectors([[x for x in r] for r in k2_first], ambient_dim=n)
-            if k2_first
-            else Subspace.zero(n)
-        )
-        assert orth_complement(form, p1k2) == a.p1
-        # L^{-1} o L is the idempotent collapsing p1(L)
-        e = compose(a, inverse(a))
-        assert e == idempotent_relation(form, a.p1)
-        assert classify_idempotent(e) == a.p1
-        # idempotent compositions with equal images classify as collapses
-        if compose(c, c) == c and c.p1 == c.p2:
-            assert classify_idempotent(c) == c.p1
-            classified += 1
-        # canonical data is a complete invariant
-        v0, v0p, alpha = canonical_data(a)
-        assert relation_from_data(form, v0, v0p, alpha) == a
-    print(f"PASS criterion 3: structure lemmas exact on {len(items)} pairs "
-          f"({classified} symmetric idempotents classified)")
+def test_criterion_03_structure_lemmas(checked):
+    results, _ = checked
+    # p1(L) = p1(K2)-perp, L^{-1} o L = E_{p1(L)}, canonical data is a complete invariant
+    lemmas = ("image_is_kernel_complement", "inverse_composition_idempotent",
+              "canonical_data_round_trip")
+    assert failures(results, *lemmas) == []
+    # idempotent compositions with equal images classify as collapses
+    symmetric = [c for c, _ in results if c.p1 == c.p2 and compose(c, c) == c]
+    assert all(classify_idempotent(c) == c.p1 for c in symmetric)
+    print(f"PASS criterion 3: structure lemmas exact on {len(results)} pairs "
+          f"({len(symmetric)} symmetric idempotents classified)")
 
 
 def test_criterion_04_wgrs_closure():
@@ -164,19 +137,11 @@ def test_criterion_06_two_step():
 
 def test_criterion_07_reduction_coherence():
     start = time.monotonic()
-    squares = 0
-    for name, m, n in (("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2)):
-        rs = catalog(name, m, n)
-        rel = built_relation(name, m, n)
-        for alpha in rs.iso_pairs():
-            v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
-            reduced = rel.reduce(v0)
-            rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
-            assert reduced == rebuilt
-            squares += 1
+    squares = suite_reduction(0)["reduction_square"]
     elapsed = time.monotonic() - start
+    assert squares == (7, 0)
     assert elapsed < 60.0, f"reduction squares took {elapsed:.1f}s"
-    print(f"PASS criterion 7: {squares} reduction squares commute exactly in {elapsed:.1f}s")
+    print(f"PASS criterion 7: {squares[0]} reduction squares commute exactly in {elapsed:.1f}s")
 
 
 def test_criterion_08_semiregularity():
@@ -231,9 +196,7 @@ def test_criterion_10_graded_exact_sequence():
 
 
 def test_criterion_11_product_formula():
-    gl11 = built_relation("gl", 1, 1)
-    for d in range(5):
-        assert product_invariant_check(gl11, gl11, d)
+    assert suite_product(0)["product_dimension_formula"] == (5, 0)
     print("PASS criterion 11: product dimension formula exact for d<=4")
 
 

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from lagrel.cli import main
 
@@ -218,17 +224,6 @@ def test_verify_unknown_suite_exit_1(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_product_suite(capsys):
-    code, out, _ = run(capsys, "verify", "product")
-    assert code == 0
-    assert "PASS" in out and "FAIL" not in out
-
-
-def test_verify_reduction_suite(capsys):
-    code, out, _ = run(capsys, "verify", "reduction")
-    assert code == 0
-
-
 def test_verify_monoid_suite_small_seeded(capsys):
     from lagrel.cli import suite_monoid
 
@@ -264,6 +259,47 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "discriminant", str(path), "--degree", "3")
     assert code == 1
     assert out == "" and "unrecognized arguments" in err
+
+
+def test_negative_degree_exit_1(tmp_path, capsys):
+    path = str(build_gl11(tmp_path, capsys))
+    for argv in (("analyze", path, "--degree"), ("analyze", path, "--dmax"),
+                 ("invariants", path, "--degree"), ("separate", path, "--x", "1,0", "--y", "0,1", "--dmax")):
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out) == (1, ""), argv
+        assert f"argument {argv[-1]}: expected a non-negative integer, got '-1'" in err
+    code, out, _ = run(capsys, "invariants", path, "--degree", "0")
+    assert code == 0 and json.loads(out)["invariant_dimensions"] == [1]
+
+
+# each script breaks one internal check, then prints what the check reported
+BROKEN_CHECKS = {
+    "closure description": ("""
+from lagrel.cli import suite_wgrs
+from lagrel.wgrs import RootSystem
+RootSystem.described_components = lambda self: set()
+print(suite_wgrs(0)["component_description"])
+""", "(0, 13)\n"),
+    "idempotent collapse": ("""
+from lagrel import linear_relations as lr
+from lagrel.exact_linalg import Subspace
+e = lr.idempotent_relation(lr.suite_form(2), Subspace.from_vectors([[1, -1]]))
+lr.idempotent_relation = lambda form, v0: lr.diagonal(form)
+try:
+    lr.classify_idempotent(e)
+except AssertionError as exc:
+    print(exc)
+""", "idempotent does not match its collapse form\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CHECKS))
+def test_internal_checks_run_under_python_O(name):
+    script, expected = BROKEN_CHECKS[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
 
 def test_invalid_root_system_file_exit_1(tmp_path, capsys):

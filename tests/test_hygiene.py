@@ -1,7 +1,7 @@
-"""Static checks on the package source: no unused imports, no dead private helpers,
-and a package `__all__` that matches what `__init__.py` imports.
+"""Static checks on the source: no unused imports in the package, tests or demos, no
+dead private helpers, and a package `__all__` that matches what `__init__.py` imports.
 
-Every check reads `src/lagrel` with the standard library's `ast` only, so they
+Every check reads the files with the standard library's `ast` only, so they
 run without importing the package.
 """
 
@@ -13,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagrel"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lagrel"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+SCRIPTS = {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -40,9 +43,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(MODULES) + sorted(SCRIPTS))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = MODULES.get(module) or SCRIPTS[module]
     used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)} | _exported(tree)
     unused = []
     for stmt in ast.walk(tree):

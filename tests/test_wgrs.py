@@ -238,7 +238,7 @@ def test_build_relation_description_check():
     # the description audit runs without raising for small entries
     for name, a, b in (("gl", 1, 1), ("gl", 2, 1), ("osp", 3, 2)):
         rel = catalog(name, a, b).build_relation(check=True)
-        assert rel.verify_closed(exhaustive=len(rel) <= 24)
+        assert rel.verify_closed()
 
 
 def test_component_count_matches_pair_count(gl21):
