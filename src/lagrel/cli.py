@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from .exact_linalg import (
@@ -54,6 +55,7 @@ from .relation_monoid import (
     closure,
 )
 from .wgrs import (
+    RootSystem,
     catalog,
     rootsystem_from_payload,
     rootsystem_to_payload,
@@ -291,62 +293,59 @@ def monoid_checks(
     }
 
 
+def _tally(checks: Iterable[tuple[str, bool]]) -> dict[str, tuple[int, int]]:
+    """{name: (passed, failed)} over (name, ok) check results."""
+    counts: dict[str, list[int]] = {}
+    for name, ok in checks:
+        counts.setdefault(name, [0, 0])[0 if ok else 1] += 1
+    return {k: (v[0], v[1]) for k, v in counts.items()}
+
+
 def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
     """Monoid laws, atypicality bounds and structure lemmas on random pairs."""
-    counts: dict[str, list[int]] = {}
-    for form, a, b in random_pairs(seed, pairs):
-        for name, ok in monoid_checks(form, a, b)[1].items():
-            counts.setdefault(name, [0, 0])[0 if ok else 1] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
+    return _tally(check for form, a, b in random_pairs(seed, pairs)
+                  for check in monoid_checks(form, a, b)[1].items())
+
+
+def _holds(check, *args) -> bool:
+    """Whether check(*args) returns without raising AssertionError or ValueError."""
+    try:
+        check(*args)
+    except (AssertionError, ValueError):
+        return False
+    return True
+
+
+def wgrs_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
+    """(name, ok) per check of `verify wgrs` on rs.  Each check runs inside the call it
+    names: build_relation(check=True), maximal_isosets(), and two_step_witness on every
+    ordered pair of isotropic roots; ok means that the call raised nothing."""
+    yield "component_description", _holds(lambda: rs.build_relation(check=True))
+    yield "isoset_cardinality", _holds(rs.maximal_isosets)
+    for beta in rs.iso_roots:
+        for beta_p in rs.iso_roots:
+            yield "two_step_witness", _holds(rs.two_step_witness, beta, beta_p)
 
 
 def suite_wgrs(seed: int) -> dict[str, tuple[int, int]]:
     """Catalog closures match the graph/iso-set description; witnesses verify."""
-    counts: dict[str, list[int]] = {
-        "component_description": [0, 0],
-        "isoset_cardinality": [0, 0],
-        "two_step_witness": [0, 0],
-    }
     entries = [("gl", m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4]
     entries.append(("osp", 3, 2))
-    for name, a, b in entries:
-        rs = catalog(name, a, b)
-        try:
-            rs.build_relation(check=True)
-            counts["component_description"][0] += 1
-        except AssertionError:
-            counts["component_description"][1] += 1
-        mx = rs.maximal_isosets()
-        sizes = {s.num_pairs for s in mx}
-        counts["isoset_cardinality"][0 if len(sizes) <= 1 else 1] += 1
-        for beta in rs.iso_roots:
-            for beta_p in rs.iso_roots:
-                try:
-                    w = rs.two_step_witness(beta, beta_p)
-                    ok = w.apply(beta) in (beta_p, tuple(-x for x in beta_p))
-                except (ValueError, AssertionError):
-                    ok = False
-                counts["two_step_witness"][0 if ok else 1] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
+    return _tally(check for entry in entries for check in wgrs_checks(catalog(*entry)))
 
 
 def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
     """Graded dimensions and pointwise invariance on catalog relations."""
     rng = random.Random(seed)
-    counts: dict[str, list[int]] = {
-        "baby_dimensions": [0, 0],
-        "pointwise_invariance": [0, 0],
-        "weyl_containment": [0, 0],
-    }
     rel = catalog("gl", 1, 1).build_relation(check=False)
     dims = [len(invariant_space(rel, d)) for d in range(1, 7)]
-    counts["baby_dimensions"][0 if dims == [1, 2, 3, 4, 5, 6] else 1] += 1
+    checks = [("baby_dimensions", dims == [1, 2, 3, 4, 5, 6])]
     rel21 = catalog("gl", 2, 1).build_relation(check=False)
     for d in (1, 2, 3):
         basis = invariant_space(rel21, d)
         weyl_basis = weyl_invariant_space(list(rel21.weyl_group), d)
         ok = all(contains_polynomial(weyl_basis, f, d) for f in basis)
-        counts["weyl_containment"][0 if ok else 1] += 1
+        checks.append(("weyl_containment", ok))
         for comp in rel21.components:
             for _ in range(5):
                 t = [rational(rng.randint(-3, 3)) for _ in range(comp.dim)]
@@ -356,42 +355,37 @@ def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
                 ]
                 x, y = point[: rel21.n], point[rel21.n :]
                 ok = all(f.evaluate(x) == f.evaluate(y) for f in basis)
-                counts["pointwise_invariance"][0 if ok else 1] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
+                checks.append(("pointwise_invariance", ok))
+    return _tally(checks)
+
+
+def reduction_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
+    """(name, ok) per check of `verify reduction` on rs: its relation is semiregular, and
+    reducing it by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
+    rel = rs.build_relation(check=False)
+    yield "semiregular", rel.is_semiregular()
+    for alpha in rs.iso_pairs():
+        v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
+        rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
+        yield "reduction_square", rel.reduce(v0) == rebuilt
 
 
 def suite_reduction(seed: int) -> dict[str, tuple[int, int]]:
     """Root-system reduction commutes with relation reduction on the catalog."""
-    counts: dict[str, list[int]] = {"reduction_square": [0, 0], "semiregular": [0, 0]}
-    for name, a, b in (("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2)):
-        rs = catalog(name, a, b)
-        rel = rs.build_relation(check=False)
-        counts["semiregular"][0 if rel.is_semiregular() else 1] += 1
-        for alpha in rs.iso_pairs():
-            v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
-            reduced_rel = rel.reduce(v0)
-            rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
-            counts["reduction_square"][0 if reduced_rel == rebuilt else 1] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
+    return _tally(check for m, n in ((1, 1), (2, 1), (2, 2))
+                  for check in reduction_checks(catalog("gl", m, n)))
 
 
 def suite_product(seed: int) -> dict[str, tuple[int, int]]:
     """Product dimension formula and evaluation-matrix utility."""
-    counts: dict[str, list[int]] = {
-        "product_dimension_formula": [0, 0],
-        "evaluation_points": [0, 0],
-    }
     rel = catalog("gl", 1, 1).build_relation(check=False)
-    for d in range(0, 5):
-        ok = product_invariant_check(rel, rel, d)
-        counts["product_dimension_formula"][0 if ok else 1] += 1
+    checks = [("product_dimension_formula", product_invariant_check(rel, rel, d)) for d in range(5)]
     basis = invariant_space(rel, 3)
     try:
-        points = independent_evaluation_points(basis)
-        counts["evaluation_points"][0 if len(points) == len(basis) else 1] += 1
+        ok = len(independent_evaluation_points(basis)) == len(basis)
     except ValueError:
-        counts["evaluation_points"][1] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
+        ok = False
+    return _tally(checks + [("evaluation_points", ok)])
 
 
 SUITES = {

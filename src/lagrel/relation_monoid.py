@@ -50,13 +50,17 @@ class ClosureBoundExceeded(RuntimeError):
         self.components = components
 
 
+# BFS depth bound of closure(): one infinite-order generator reaches it at about
+# 20000 components, long before the default component bound.
+MAX_ROUNDS = 10_000
+
+
 @dataclass(frozen=True)
 class ClosureConfig:
     max_components: int = 100_000
-    max_rounds: int = 10_000
 
     def __post_init__(self):
-        if self.max_components <= 0 or self.max_rounds <= 0:
+        if self.max_components <= 0:
             raise ValueError("closure bounds must be positive")
 
 
@@ -113,12 +117,15 @@ class LagrangianEquivalenceRelation:
     def weyl_group(self) -> tuple[Isometry, ...]:
         """The group of atypicality-0 components, as isometries of V.
 
-        The set S is a group iff generate_group(S), which holds the identity
-        and S, equals S; the bound len(S) stops the closure of a set that is not.
+        A composite is at least as atypical as each factor, so the atypicality-0
+        components S of a closure are the words in its atypicality-0 generators T.
+        S must equal the group T generates (T = S when there are no generators);
+        len(S) bounds that group, so a T that generates more than S stops early.
         """
         isos = [isometry_of_graph(c) for c in self.components if c.atypicality == 0]
+        gens = [isometry_of_graph(g) for g in self.generators if g.atypicality == 0]
         try:
-            group = generate_group(self.form, isos, len(isos))
+            group = generate_group(self.form, gens if self.generators else isos, len(isos))
         except RuntimeError:
             group = ()
         assert set(group) == set(isos), "atypicality-0 components are not closed under products"
@@ -480,9 +487,9 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
             queue.append((g, 1))
     while queue:
         rel, depth = queue.popleft()
-        if depth >= cfg.max_rounds:
+        if depth >= MAX_ROUNDS:
             raise ClosureBoundExceeded(
-                f"closure exceeded {cfg.max_rounds} rounds; the closure may be infinite",
+                f"closure exceeded {MAX_ROUNDS} rounds; the closure may be infinite",
                 len(pool),
             )
         for g in gens:

@@ -256,7 +256,10 @@ class RootSystem:
         return pairs
 
     def maximal_isosets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
-        """Inclusion-maximal iso-sets (orthogonal to v when given), by exhaustive search."""
+        """Inclusion-maximal iso-sets (orthogonal to v when given), by exhaustive search.
+
+        Without v they must all have one cardinality; AssertionError is raised if not.
+        """
         self.require_valid()
         pairs_avail = self._orthogonal_iso_pairs(v)
         candidates = self._iso_sets(pairs_avail)
@@ -269,9 +272,8 @@ class RootSystem:
             if not extensible:
                 maximal.append(s)
         maximal = tuple(sorted(maximal))
-        if v is None and maximal:
-            sizes = {s.num_pairs for s in maximal}
-            assert len(sizes) == 1, "maximal iso-sets of different cardinality"
+        if v is None and len({s.num_pairs for s in maximal}) > 1:
+            raise AssertionError("maximal iso-sets of different cardinality")
         return maximal
 
     def defect(self) -> int:
@@ -298,8 +300,10 @@ class RootSystem:
         gamma = beta - beta1 and gamma' = +-beta_p - beta1, where
         beta1 = +-s_delta(beta) and delta comes from _connecting_anisotropic.
         This w also satisfies w^2 = id and acts as the identity on
-        span(beta, beta_p)-perp modulo span(beta, beta_p).  Roots in orthogonal
-        indecomposable components have no such delta, and ValueError is raised.
+        span(beta, beta_p)-perp modulo span(beta, beta_p); each of these is
+        checked, and a failed check raises AssertionError, under python -O too.
+        Roots in orthogonal indecomposable components have no such delta, and
+        ValueError is raised.
         """
         self.require_valid()
         b = as_vector(beta)
@@ -320,29 +324,33 @@ class RootSystem:
                 if gamma not in rootset:
                     raise ValueError("shift axiom fails for a non-orthogonal isotropic pair")
             w = self.reflection(gamma)
-            assert w.apply(b) in (bp, neg_bp)
+            if w.apply(b) not in (bp, neg_bp):
+                raise AssertionError("two-step witness misses the target root")
             return w
         delta = self._connecting_anisotropic(b, bp)
         beta1 = self.reflection(delta).apply(b)
-        assert beta1 in rootset
+        if beta1 not in rootset:
+            raise AssertionError("s_delta(beta) is not a root")
         if tuple(x - y for x, y in zip(b, beta1)) not in rootset:
             beta1 = tuple(-x for x in beta1)
         gamma = tuple(x - y for x, y in zip(b, beta1))
-        assert gamma in rootset, "shift axiom fails on the first leg"
+        if gamma not in rootset:
+            raise AssertionError("shift axiom fails on the first leg")
         target = bp
         if tuple(x - y for x, y in zip(target, beta1)) not in rootset:
             target = neg_bp
         gamma_p = tuple(x - y for x, y in zip(target, beta1))
-        assert gamma_p in rootset, "shift axiom fails on the second leg"
+        if gamma_p not in rootset:
+            raise AssertionError("shift axiom fails on the second leg")
         w = self.reflection(gamma_p).compose(self.reflection(gamma))
-        assert w.apply(b) in (bp, neg_bp)
-        assert w.compose(w).is_identity(), "two-step witness is not an involution"
+        if w.apply(b) not in (bp, neg_bp):
+            raise AssertionError("two-step witness misses the target root")
+        if not w.compose(w).is_identity():
+            raise AssertionError("two-step witness is not an involution")
         span = Subspace.from_vectors([b, bp])
         q = quotient(self.form, orth_complement(self.form, span))
-        induced = q.projection @ w.matrix @ q.section
-        assert induced == Matrix.identity(q.dim), (
-            "two-step witness moves the subquotient"
-        )
+        if q.projection @ w.matrix @ q.section != Matrix.identity(q.dim):
+            raise AssertionError("two-step witness moves the subquotient")
         return w
 
     # -- transport of iso-sets ----------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each test prints a PASS line with its measured numbers; stated time budgets
 are asserted with a monotonic clock.  Shared corpora are built once.  Criteria
-1-3, 7 and 11 assert on the checks that the `verify` suites tally.
+1-4, 6-8 and 11 assert on the checks that the `verify` suites tally.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from lagrel.cli import monoid_checks, suite_product, suite_reduction
+from lagrel.cli import _tally, monoid_checks, reduction_checks, suite_product, wgrs_checks
 from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _echelon
 from lagrel.invariants import (
     discriminant_polynomial,
@@ -56,6 +56,9 @@ def catalog_entries(max_dim):
     return out
 
 
+CATALOG = catalog_entries(5) + [("osp", 3, 2)]
+
+
 def test_criterion_01_monoid_laws(checked):
     results, elapsed = checked
     assert failures(results, "composition_lagrangian") == []
@@ -82,17 +85,28 @@ def test_criterion_03_structure_lemmas(checked):
           f"({len(symmetric)} symmetric idempotents classified)")
 
 
-def test_criterion_04_wgrs_closure():
-    entries = catalog_entries(5) + [("osp", 3, 2)]
+def tally_catalog(checks):
+    """The tally of a per-entry check function over CATALOG, and the time it took."""
     start = time.monotonic()
-    total = 0
-    for name, m, n in entries:
-        rs = catalog(name, m, n)
-        rel = rs.build_relation(check=True)  # check: double inclusion against (w, S) description
-        total += len(rel)
-    elapsed = time.monotonic() - start
+    tally = _tally(check for entry in CATALOG for check in checks(catalog(*entry)))
+    return tally, time.monotonic() - start
+
+
+@pytest.fixture(scope="module")
+def wgrs_tally():
+    return tally_catalog(wgrs_checks)
+
+
+@pytest.fixture(scope="module")
+def reduction_tally():
+    return tally_catalog(reduction_checks)
+
+
+def test_criterion_04_wgrs_closure(wgrs_tally):
+    tally, elapsed = wgrs_tally
+    assert tally["component_description"] == (len(CATALOG), 0)
     assert elapsed < 120.0, f"closures took {elapsed:.1f}s"
-    print(f"PASS criterion 4: {len(entries)} closures, {total} components described, {elapsed:.1f}s")
+    print(f"PASS criterion 4: {len(CATALOG)} closures equal their (w, S) description, {elapsed:.1f}s")
 
 
 def test_criterion_05_isoset_combinatorics():
@@ -100,9 +114,7 @@ def test_criterion_05_isoset_combinatorics():
     for name, m, n in catalog_entries(5):
         rs = catalog(name, m, n)
         mx = rs.maximal_isosets()
-        sizes = {s.num_pairs for s in mx}
-        assert len(sizes) == 1
-        assert sizes == {min(m, n)}
+        assert {s.num_pairs for s in mx} == {min(m, n)}
         checked_cards += 1
     transported = 0
     for name, m, n in catalog_entries(4):
@@ -118,38 +130,21 @@ def test_criterion_05_isoset_combinatorics():
           f"{transported} transport witnesses verified")
 
 
-def test_criterion_06_two_step():
-    total = 0
-    for name, m, n in (("gl", 2, 2), ("gl", 3, 2)):
-        rs = catalog(name, m, n)
-        for beta in rs.iso_roots:
-            for beta_p in rs.iso_roots:
-                w = rs.two_step_witness(beta, beta_p)
-                neg = tuple(-x for x in beta_p)
-                assert w.apply(beta) in (beta_p, neg)
-                if rs.form.pairing(beta, beta_p) == 0:
-                    # involution and trivial action on the subquotient are
-                    # asserted inside the constructor for the orthogonal case
-                    assert w.compose(w).is_identity()
-                total += 1
-    print(f"PASS criterion 6: {total} two-step witnesses verified exactly")
+def test_criterion_06_two_step(wgrs_tally):
+    assert wgrs_tally[0]["two_step_witness"] == (604, 0)
+    print("PASS criterion 6: 604 two-step witnesses verified exactly")
 
 
-def test_criterion_07_reduction_coherence():
-    start = time.monotonic()
-    squares = suite_reduction(0)["reduction_square"]
-    elapsed = time.monotonic() - start
-    assert squares == (7, 0)
+def test_criterion_07_reduction_coherence(reduction_tally):
+    tally, elapsed = reduction_tally
+    assert tally["reduction_square"] == (37, 0)
     assert elapsed < 60.0, f"reduction squares took {elapsed:.1f}s"
-    print(f"PASS criterion 7: {squares[0]} reduction squares commute exactly in {elapsed:.1f}s")
+    print(f"PASS criterion 7: 37 reduction squares commute exactly in {elapsed:.1f}s")
 
 
-def test_criterion_08_semiregularity():
-    entries = catalog_entries(5) + [("osp", 3, 2)]
-    for name, m, n in entries:
-        rel = built_relation(name, m, n)
-        assert rel.is_semiregular(), f"{name}({m}|{n}) not semiregular"
-    print(f"PASS criterion 8: all {len(entries)} catalog relations semiregular")
+def test_criterion_08_semiregularity(reduction_tally):
+    assert reduction_tally[0]["semiregular"] == (len(CATALOG), 0)
+    print(f"PASS criterion 8: all {len(CATALOG)} catalog relations semiregular")
 
 
 def baby_oracle_dimension(degree):

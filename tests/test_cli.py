@@ -272,7 +272,8 @@ def test_negative_degree_exit_1(tmp_path, capsys):
     assert code == 0 and json.loads(out)["invariant_dimensions"] == [1]
 
 
-# each script breaks one internal check, then prints what the check reported
+# each script breaks one internal check, then prints what the check reported,
+# which must be the same with and without python -O
 BROKEN_CHECKS = {
     "closure description": ("""
 from lagrel.cli import suite_wgrs
@@ -290,6 +291,18 @@ try:
 except AssertionError as exc:
     print(exc)
 """, "idempotent does not match its collapse form\n"),
+    "iso-set cardinality": ("""
+from lagrel.cli import suite_wgrs
+from lagrel.wgrs import IsoSet
+IsoSet.num_pairs = property(lambda self: len(self.pairs) + sum(p[0] == 0 for p in self.pairs))
+print(suite_wgrs(0)["isoset_cardinality"])
+""", "(11, 2)\n"),
+    "two-step involution": ("""
+from lagrel.cli import suite_wgrs
+from lagrel.linear_relations import Isometry
+Isometry.is_identity = lambda self: False
+print(suite_wgrs(0)["two_step_witness"])
+""", "(172, 16)\n"),
 }
 
 
@@ -297,9 +310,10 @@ except AssertionError as exc:
 def test_internal_checks_run_under_python_O(name):
     script, expected = BROKEN_CHECKS[name]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert (done.returncode, done.stdout) == (0, expected), done.stderr
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (0, expected), (flags, done.stderr)
 
 
 def test_invalid_root_system_file_exit_1(tmp_path, capsys):

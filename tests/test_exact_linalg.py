@@ -28,10 +28,6 @@ from lagrel.exact_linalg import (
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
 
-def square(entries):
-    return Matrix(entries)
-
-
 def test_rational_codec():
     assert rational("3/6") == Fraction(1, 2)
     assert rational(-4) == Fraction(-4)

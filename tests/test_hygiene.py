@@ -1,5 +1,6 @@
 """Static checks on the source: no unused imports in the package, tests or demos, no
-dead private helpers, and a package `__all__` that matches what `__init__.py` imports.
+dead private helpers in the package, no dead helper functions in tests or demos, and a
+package `__all__` that matches what `__init__.py` imports.
 
 Every check reads the files with the standard library's `ast` only, so they
 run without importing the package.
@@ -76,6 +77,22 @@ def test_every_private_function_is_referenced():
         f"{module}:{node.lineno} {node.name}"
         for module, node in _private_functions()
         if total[node.name] - _references(node)[node.name] <= 0
+    ]
+    assert dead == []
+
+
+def test_every_test_helper_is_referenced():
+    # a helper is used when its module reads it outside its body, or a script imports it
+    imported = Counter((sub.module, alias.name) for tree in SCRIPTS.values()
+                       for sub in ast.walk(tree) if isinstance(sub, ast.ImportFrom)
+                       for alias in sub.names)
+    dead = [
+        f"{script}:{node.lineno} {node.name}"
+        for script, tree in SCRIPTS.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
+        and not any("fixture" in ast.unparse(dec) for dec in node.decorator_list)
+        and _references(tree)[node.name] - _references(node)[node.name]
+        + imported[(Path(script).stem, node.name)] <= 0
     ]
     assert dead == []
 

@@ -33,44 +33,9 @@ from lagrel.invariants import (
     verify_invariants,
     weyl_invariant_space,
 )
-from lagrel.linear_relations import Isometry, idempotent_relation
+from lagrel.linear_relations import Isometry
 from lagrel.relation_monoid import closure
 from lagrel.wgrs import catalog, rootsystem_from_payload
-
-
-# -- oracle: the one-line-collapse model -------------------------------------
-#
-# V = span(v, w) hyperbolic, the relation collapses the isotropic line Qv to a
-# point.  A homogeneous f of degree d >= 1 is invariant iff f(v) = 0, a single
-# linear condition on the coefficients, so the dimension is (number of degree-d
-# monomials) - 1 = d.  This oracle never touches the production solver.
-
-
-def baby_oracle_dimension(degree: int) -> int:
-    mons = monomials(2, degree)
-    constraint = [[0] * len(mons)]
-    point = (Fraction(1), Fraction(0))  # the collapsed line through v
-    for j, e in enumerate(mons):
-        constraint[0][j] = int(point[0] ** e[0] * point[1] ** e[1])
-    rank = len(_echelon(constraint))
-    return len(mons) - rank
-
-
-def baby_relation():
-    form = BilinearForm(Matrix([[0, 1], [1, 0]]))
-    line = Subspace.from_vectors([[1, 0]])
-    return closure(form, [idempotent_relation(form, line)])
-
-
-def test_baby_example_dimensions_match_oracle():
-    rel = baby_relation()
-    for d in range(1, 7):
-        assert baby_oracle_dimension(d) == d
-        assert len(invariant_space(rel, d)) == baby_oracle_dimension(d)
-
-
-def test_gl11_has_the_same_profile(gl11):
-    assert [len(invariant_space(gl11, d)) for d in range(7)] == [1, 1, 2, 3, 4, 5, 6]
 
 
 def test_degree_zero_is_constants(gl21):
@@ -233,11 +198,6 @@ def test_separate_distinct_points(gl11):
     # first separator genuinely lives in degree 2
     (lin,) = invariant_space(gl11, 1)
     assert lin.evaluate((1, 0)) == lin.evaluate((0, 1))
-
-
-def test_product_invariant_dimension_formula(gl11):
-    for d in range(5):
-        assert product_invariant_check(gl11, gl11, d)
 
 
 def test_product_with_point_relation(gl11):

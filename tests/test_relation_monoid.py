@@ -13,6 +13,7 @@ from lagrel.linear_relations import (
     classify_idempotent,
     compose,
     diagonal,
+    generate_group,
     graph,
     idempotent_relation,
 )
@@ -81,6 +82,16 @@ def test_non_group_component_set_fails_the_weyl_check():
     rel = LagrangianEquivalenceRelation(form, [graph(s12), graph(s23)])
     with pytest.raises(AssertionError):
         rel.weyl_group
+
+
+def test_weyl_group_is_the_group_of_the_generators():
+    # all of S3 as components, but one transposition as the only generator
+    form = BilinearForm.diagonal([1, 1, 1])
+    s12 = Isometry.reflection(form, (1, -1, 0))
+    s3 = [graph(w) for w in generate_group(form, [s12, Isometry.reflection(form, (0, 1, -1))])]
+    assert len(LagrangianEquivalenceRelation(form, s3).weyl_group) == 6
+    with pytest.raises(AssertionError):
+        LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).weyl_group
 
 
 def test_weyl_groups_of_catalog(gl21, gl22):
@@ -182,7 +193,6 @@ def test_product_structure(gl11):
 def test_semiregularity(gl11, gl21, gl22):
     for rel in (gl11, gl21, gl22):
         assert rel.is_one_semiregular()
-        assert rel.is_semiregular()
     prod = gl11.product(gl11)
     assert prod.is_semiregular()
     # a user-supplied decomposition is verified rather than trusted

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Subspace, orth_complement
+from lagrel.exact_linalg import BilinearForm, orth_complement
 from lagrel.wgrs import (
     IsoSet,
     RootSystem,
@@ -151,11 +151,6 @@ def test_maximal_isosets_gl22():
     mx = catalog("gl", 2, 2).maximal_isosets()
     assert len(mx) == 2
     assert all(s.num_pairs == 2 for s in mx)
-
-
-def test_defect_is_min_mn():
-    for m, n in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)):
-        assert catalog("gl", m, n).defect() == min(m, n)
 
 
 def test_two_step_trivial_and_adjacent():
@@ -374,18 +369,6 @@ def test_reduce_by_root_gl22_is_gl11():
 def test_reduce_by_root_rejects_anisotropic():
     with pytest.raises(ValueError):
         catalog("gl", 2, 1).reduce_by_root((1, -1, 0))
-
-
-@pytest.mark.parametrize(
-    "name,m,n",
-    [("gl", m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4],
-)
-def test_reduction_square_commutes(name, m, n):
-    rs = catalog(name, m, n)
-    rel = rs.build_relation(check=False)
-    for alpha in rs.iso_pairs():
-        v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
-        assert rel.reduce(v0) == rs.reduce_by_root(alpha).build_relation(check=False)
 
 
 def test_payload_round_trip():
