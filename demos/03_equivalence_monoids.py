@@ -5,7 +5,7 @@ components closed under composition and inverse.  Closure enumerates words
 in the generators and deduplicates by canonical subspace.
 """
 
-from lagrel import ClosureBoundExceeded, ClosureConfig, catalog, closure, graph
+from lagrel import ClosureBoundExceeded, catalog, closure, graph
 from lagrel.exact_linalg import BilinearForm, Matrix
 
 print("== the induced relation of gl(2|2) ==")
@@ -41,6 +41,6 @@ hyper = BilinearForm(Matrix([[0, 1], [1, 0]]))
 from lagrel.linear_relations import Isometry
 boost = Isometry(hyper, Matrix([[2, 0], [0, "1/2"]]))
 try:
-    closure(hyper, [graph(boost)], ClosureConfig(max_components=64))
+    closure(hyper, [graph(boost)], max_components=64)
 except ClosureBoundExceeded as exc:
     print("caught:", exc)

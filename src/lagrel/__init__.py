@@ -32,7 +32,6 @@ from .linear_relations import (
 )
 from .relation_monoid import (
     ClosureBoundExceeded,
-    ClosureConfig,
     LagrangianEquivalenceRelation,
     closure,
 )
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm",
     "ClosureBoundExceeded",
-    "ClosureConfig",
     "DiscriminantPolynomial",
     "IsoSet",
     "Isometry",

@@ -18,9 +18,9 @@ from typing import Iterable, Iterator
 from . import __version__
 from .exact_linalg import (
     BilinearForm,
+    Matrix,
     Subspace,
     as_vector,
-    matrix_from_payload,
     matrix_to_payload,
     orth_complement,
     rational,
@@ -50,8 +50,8 @@ from .linear_relations import (
     relation_from_payload,
 )
 from .relation_monoid import (
+    MAX_COMPONENTS,
     ClosureBoundExceeded,
-    ClosureConfig,
     closure,
 )
 from .wgrs import (
@@ -70,21 +70,15 @@ def _load_json(path: str) -> tuple[dict, bytes]:
     return json.loads(raw.decode("utf-8")), raw
 
 
-def _closure_config(max_components: int | None) -> ClosureConfig | None:
-    """The closure bound given on the command line; None keeps the default."""
-    return None if max_components is None else ClosureConfig(max_components=max_components)
-
-
-def _relation_from_file(payload: dict, max_components: int | None):
+def _relation_from_file(payload: dict, max_components: int):
     """Build the relation described by a wgrs or generator file."""
-    config = _closure_config(max_components)
     if "roots" in payload:
-        return rootsystem_from_payload(payload).build_relation(config=config)
+        return rootsystem_from_payload(payload).build_relation(max_components)
     if "generators" in payload:
         gram = payload["form"]
-        form = BilinearForm(matrix_from_payload(gram, cols=len(gram)))
+        form = BilinearForm(Matrix(gram, cols=len(gram)))
         gens = [relation_from_payload(g, form=form) for g in payload["generators"]]
-        return closure(form, gens, config)
+        return closure(form, gens, max_components)
     raise ValueError("input file needs either a 'roots' or a 'generators' key")
 
 
@@ -225,7 +219,7 @@ def cmd_wgrs_validate(args) -> int:
 def cmd_wgrs_relation(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
-    rel = rs.build_relation(config=_closure_config(args.max_components))
+    rel = rs.build_relation(args.max_components)
     report = _report_header(raw)
     report.update(
         {
@@ -364,7 +358,7 @@ def reduction_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
     reducing it by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
     rel = rs.build_relation(check=False)
     yield "semiregular", rel.is_semiregular()
-    for alpha in rs.iso_pairs():
+    for alpha in rs.iso_pairs:
         v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
         rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
         yield "reduction_square", rel.reduce(v0) == rebuilt
@@ -424,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="relation or root-system JSON file")
-        p.add_argument("--max-components", type=int, default=None)
+        p.add_argument("--max-components", type=int, default=MAX_COMPONENTS)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="full structural report")
@@ -472,9 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wgrs_validate)
 
     p = wgsub.add_parser("relation", help="build the induced equivalence relation")
-    p.add_argument("input")
-    p.add_argument("--max-components", type=int, default=None)
-    p.add_argument("--out", default=None)
+    common(p)
     p.set_defaults(func=cmd_wgrs_relation)
 
     p = wgsub.add_parser("reduce", help="reduce by an isotropic root")

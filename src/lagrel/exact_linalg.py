@@ -126,10 +126,6 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntRow, ...]:
     return tuple(tuple(r) for r in basis)
 
 
-def _rank(rows: Iterable[Sequence[int]]) -> int:
-    return len(_echelon(rows))
-
-
 def _pivot(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
@@ -244,9 +240,6 @@ class Matrix:
             object.__setattr__(self, "_entries", tuple(tuple(Fraction(x, d) for x in row) for row in self.ints))
         return self._entries
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -269,7 +262,7 @@ class Matrix:
         return self.rows == self.cols and self.ints == tuple(zip(*self.ints))
 
     def rank(self) -> int:
-        return _rank(self.ints)
+        return len(_echelon(self.ints))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -294,10 +287,6 @@ class Matrix:
 
 def matrix_to_payload(m: Matrix) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in m.entries]
-
-
-def matrix_from_payload(payload: Sequence[Sequence[Rational]], cols: int | None = None) -> Matrix:
-    return Matrix(payload, cols=cols)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -344,10 +333,8 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]] = (), *, _canonical: bool = False):
-        rows = tuple(tuple(r) for r in rows)
-        if not _canonical:
-            rows = _echelon(rows)
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]] = ()):
+        rows = _echelon(rows)
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length disagrees with ambient dimension")
@@ -366,15 +353,15 @@ class Subspace:
             ambient_dim = len(vecs[0])
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length disagrees with ambient dimension")
-        return cls(ambient_dim, _echelon(_int_rows(vecs)), _canonical=True)
+        return cls(ambient_dim, _int_rows(vecs))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), _canonical=True)
+        return cls(ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (_unit_row(ambient_dim, j) for j in range(ambient_dim)), _canonical=True)
+        return cls(ambient_dim, (_unit_row(ambient_dim, j) for j in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -426,7 +413,7 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(a.ambient_dim, _echelon(a.rows + b.rows), _canonical=True)
+    return Subspace(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -439,7 +426,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     block = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
     ech = _echelon(block)
     inter = [row[n:] for row in ech if not any(row[:n])]
-    return Subspace(n, _echelon(inter), _canonical=True)
+    return Subspace(n, inter)
 
 
 def subspace_to_payload(s: Subspace) -> dict:
@@ -505,7 +492,7 @@ def orth_complement(form: BilinearForm, u: Subspace) -> Subspace:
     if u.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
     n = form.dim
-    return Subspace(n, _nullspace(_int_product(u.rows, form.gram.ints, n), n), _canonical=True)
+    return Subspace(n, _nullspace(_int_product(u.rows, form.gram.ints, n), n))
 
 
 class QuotientSpace:

@@ -28,7 +28,6 @@ from .exact_linalg import (
     _matrix,
     _nullspace,
     _pivot,
-    _rank,
     as_vector,
     format_rational,
     quotient,
@@ -516,7 +515,7 @@ def independent_evaluation_points(polys: Sequence[Polynomial],
     rows: list[list[Fraction]] = []
     for pt in points:
         cand = rows + [[f.evaluate(pt) for f in polys]]
-        if _rank(_int_rows(cand)) == len(cand):
+        if len(_echelon(_int_rows(cand))) == len(cand):
             rows = cand
             chosen.append(pt)
             if len(chosen) == k:

@@ -22,13 +22,11 @@ from .exact_linalg import (
     Rational,
     Subspace,
     Vector,
-    _echelon,
     _int_product,
     _int_vector,
     _matrix,
     _nullspace,
     as_vector,
-    matrix_from_payload,
     matrix_to_payload,
     orth_complement,
     quotient,
@@ -171,12 +169,12 @@ class LinearRelation:
     @cached_property
     def p1(self) -> Subspace:
         first, _ = self._halves()
-        return Subspace(self.n, _echelon(first), _canonical=True)
+        return Subspace(self.n, first)
 
     @cached_property
     def p2(self) -> Subspace:
         _, second = self._halves()
-        return Subspace(self.n, _echelon(second), _canonical=True)
+        return Subspace(self.n, second)
 
     @cached_property
     def k2(self) -> Subspace:
@@ -192,7 +190,7 @@ class LinearRelation:
         kern_rows = []
         for s in coeffs:
             kern_rows.append(tuple(sum(s[i] * rows[i][j] for i in range(d)) for j in range(2 * n)))
-        return Subspace(2 * n, _echelon(kern_rows), _canonical=True)
+        return Subspace(2 * n, kern_rows)
 
     @cached_property
     def is_isotropic(self) -> bool:
@@ -249,7 +247,7 @@ def diagonal(form: BilinearForm) -> LinearRelation:
     """The identity relation {(v, v)}."""
     n = form.dim
     rows = [tuple(1 if j in (i, n + i) else 0 for j in range(2 * n)) for i in range(n)]
-    return LinearRelation(form, Subspace(2 * n, _echelon(rows), _canonical=True))
+    return LinearRelation(form, Subspace(2 * n, rows))
 
 
 def graph(iso: Isometry) -> LinearRelation:
@@ -264,7 +262,7 @@ def graph(iso: Isometry) -> LinearRelation:
 def inverse(rel: LinearRelation) -> LinearRelation:
     n = rel.n
     rows = [r[n:] + r[:n] for r in rel.space.rows]
-    return LinearRelation(rel.form, Subspace(2 * n, _echelon(rows), _canonical=True))
+    return LinearRelation(rel.form, Subspace(2 * n, rows))
 
 
 def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
@@ -291,7 +289,7 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
         left = tuple(sum(s[i] * a[i][j] for i in range(da)) for j in range(n))
         right = tuple(sum(t[i] * b[i][n + j] for i in range(db)) for j in range(n))
         out.append(left + right)
-    return LinearRelation(first.form, Subspace(2 * n, _echelon(out), _canonical=True))
+    return LinearRelation(first.form, Subspace(2 * n, out))
 
 
 def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRelation:
@@ -304,7 +302,7 @@ def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRela
     n = form.dim
     rows = [r + r for r in coisotropic.rows]
     rows += [(0,) * n + r for r in v1.rows]
-    return LinearRelation(form, Subspace(2 * n, _echelon(rows), _canonical=True))
+    return LinearRelation(form, Subspace(2 * n, rows))
 
 
 def classify_idempotent(rel: LinearRelation) -> Subspace:
@@ -395,9 +393,9 @@ def relation_to_payload(rel: LinearRelation) -> dict:
 def relation_from_payload(payload: dict, form: BilinearForm | None = None) -> LinearRelation:
     if form is None:
         gram = payload["form"]
-        form = BilinearForm(matrix_from_payload(gram, cols=len(gram)))
+        form = BilinearForm(Matrix(gram, cols=len(gram)))
     elif "form" in payload:
-        given = matrix_from_payload(payload["form"], cols=form.dim)
+        given = Matrix(payload["form"], cols=form.dim)
         if given != form.gram:
             raise ValueError("nested relation form disagrees with the file form")
     space = Subspace.from_vectors(

@@ -10,7 +10,6 @@ bound as the only termination guarantee.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,7 +21,6 @@ from .exact_linalg import (
     _echelon,
     _int_product,
     _matrix,
-    _rank,
     _residual,
     as_vector,
     orth_complement,
@@ -43,25 +41,13 @@ from .linear_relations import (
 
 
 class ClosureBoundExceeded(RuntimeError):
-    """Raised when a closure walk outgrows its configured bounds."""
-
-    def __init__(self, message: str, components: int):
-        super().__init__(message)
-        self.components = components
+    """Raised when a closure walk outgrows its component or depth bound."""
 
 
 # BFS depth bound of closure(): one infinite-order generator reaches it at about
 # 20000 components, long before the default component bound.
 MAX_ROUNDS = 10_000
-
-
-@dataclass(frozen=True)
-class ClosureConfig:
-    max_components: int = 100_000
-
-    def __post_init__(self):
-        if self.max_components <= 0:
-            raise ValueError("closure bounds must be positive")
+MAX_COMPONENTS = 100_000
 
 
 class LagrangianEquivalenceRelation:
@@ -128,7 +114,8 @@ class LagrangianEquivalenceRelation:
             group = generate_group(self.form, gens if self.generators else isos, len(isos))
         except RuntimeError:
             group = ()
-        assert set(group) == set(isos), "atypicality-0 components are not closed under products"
+        if set(group) != set(isos):
+            raise AssertionError("atypicality-0 components are not closed under products")
         return group
 
     def atypicality_histogram(self) -> dict[int, int]:
@@ -246,7 +233,7 @@ class LagrangianEquivalenceRelation:
                     rows.append(r[:n] + (0,) * m + r[n:] + (0,) * m)
                 for r in b.space.rows:
                     rows.append((0,) * n + r[:m] + (0,) * n + r[m:])
-                space = Subspace(2 * (n + m), _echelon(rows), _canonical=True)
+                space = Subspace(2 * (n + m), rows)
                 comps.append(LinearRelation(form, space))
         return LagrangianEquivalenceRelation(form, comps)
 
@@ -256,7 +243,7 @@ class LagrangianEquivalenceRelation:
         """span{v - w : (v, w) in L}: the directions the component moves."""
         n = self.n
         rows = [tuple(r[i] - r[n + i] for i in range(n)) for r in comp.space.rows]
-        return Subspace(n, _echelon(rows), _canonical=True)
+        return Subspace(n, rows)
 
     def find_semiregular_decomposition(self) -> list[Subspace] | None:
         """Heuristic orthogonal decomposition candidate from component supports.
@@ -296,7 +283,7 @@ class LagrangianEquivalenceRelation:
         kept: list[Subspace] = []
         for i, span in enumerate(spans):
             others = kept + spans[i + 1:]
-            rest = _span_of(self.n, others) if others else Subspace.zero(self.n)
+            rest = _span_of(self.n, others)
             if not (span.dim and rest.contains(span)):
                 kept.append(span)
         kept.sort()
@@ -307,10 +294,10 @@ class LagrangianEquivalenceRelation:
             if grown is None:
                 return None
             factors.append(grown)
-        total = _span_of(self.n, factors) if factors else Subspace.zero(self.n)
+        total = _span_of(self.n, factors)
         rest = orth_complement(self.form, total)
         if rest.dim:
-            if _rank(_gram_rows(self.form, rest)) != rest.dim:
+            if len(_echelon(_gram_rows(self.form, rest))) != rest.dim:
                 return None
             factors.append(rest)
         if sum(f.dim for f in factors) != self.n:
@@ -325,7 +312,7 @@ class LagrangianEquivalenceRelation:
         stacked = []
         for f in factors:
             stacked.extend(f.rows)
-        if _rank(stacked) != n:
+        if len(_echelon(stacked)) != n:
             return None
         t = _matrix(1, stacked, n)
         gram_new = t @ self.form.gram @ t.transpose()
@@ -352,16 +339,9 @@ class LagrangianEquivalenceRelation:
             for (b0, b1) in offsets:
                 proj_rows = [r[b0:b1] + r[n + b0 : n + b1] for r in moved.rows]
                 width = b1 - b0
-                pieces.append(Subspace(2 * width, _echelon(proj_rows), _canonical=True))
-            rebuilt = []
-            for (b0, b1), piece in zip(offsets, pieces):
-                width = b1 - b0
-                for r in piece.rows:
-                    row = [0] * (2 * n)
-                    row[b0:b1] = r[:width]
-                    row[n + b0 : n + b1] = r[width:]
-                    rebuilt.append(tuple(row))
-            if Subspace(2 * n, _echelon(rebuilt), _canonical=True) != moved:
+                pieces.append(Subspace(2 * width, proj_rows))
+            # moved lies in the direct sum of its block projections: equal iff dims agree
+            if sum(piece.dim for piece in pieces) != moved.dim:
                 return None
             for idx, piece in enumerate(pieces):
                 rel = LinearRelation(forms[idx], piece)
@@ -419,7 +399,7 @@ def _span_of(n: int, parts: Iterable[Subspace]) -> Subspace:
     rows = []
     for p in parts:
         rows.extend(p.rows)
-    return Subspace(n, _echelon(rows), _canonical=True)
+    return Subspace(n, rows)
 
 
 def _gram_rows(form: BilinearForm, s: Subspace) -> list[tuple[int, ...]]:
@@ -430,11 +410,11 @@ def _nondegenerate_growth(form: BilinearForm, span: Subspace, avoid: Sequence[Su
     """Grow span to a nondegenerate subspace orthogonal to everything in avoid."""
     n = form.dim
     current = span
-    allowed = orth_complement(form, _span_of(n, avoid)) if avoid else Subspace.full(n)
+    allowed = orth_complement(form, _span_of(n, avoid))
     if not allowed.contains(current):
         return None
     for _ in range(n + 1):
-        radical = subspace_intersect_radical(form, current)
+        radical = subspace_intersect(current, orth_complement(form, current))
         if radical.dim == 0:
             return current
         r = radical.rows[0]
@@ -452,21 +432,17 @@ def _nondegenerate_growth(form: BilinearForm, span: Subspace, avoid: Sequence[Su
     return None
 
 
-def subspace_intersect_radical(form: BilinearForm, s: Subspace) -> Subspace:
-    """Radical of the form restricted to s: s intersected with its complement."""
-    return subspace_intersect(s, orth_complement(form, s))
-
-
 def closure(form: BilinearForm, generators: Iterable[LinearRelation],
-            config: ClosureConfig | None = None) -> LagrangianEquivalenceRelation:
+            max_components: int = MAX_COMPONENTS) -> LagrangianEquivalenceRelation:
     """Smallest closed component set containing the generators, inverses and the diagonal.
 
     Enumerates all words in the inverse-closed generator family breadth
     first; the word set is closed under composition and inverse by
-    construction.  Fails loudly when the configured bounds are hit, which is
-    the signal for a (possibly) infinite closure.
+    construction.  Fails loudly when max_components or MAX_ROUNDS is hit,
+    which is the signal for a (possibly) infinite closure.
     """
-    cfg = config or ClosureConfig()
+    if max_components <= 0:
+        raise ValueError("closure bounds must be positive")
     unit = diagonal(form)
     gens: list[LinearRelation] = []
     seen_gens = {unit.space}
@@ -489,18 +465,16 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
         rel, depth = queue.popleft()
         if depth >= MAX_ROUNDS:
             raise ClosureBoundExceeded(
-                f"closure exceeded {MAX_ROUNDS} rounds; the closure may be infinite",
-                len(pool),
+                f"closure exceeded {MAX_ROUNDS} rounds; the closure may be infinite"
             )
         for g in gens:
             prod = compose(rel, g)
             if prod.space in pool:
                 continue
-            if len(pool) >= cfg.max_components:
+            if len(pool) >= max_components:
                 raise ClosureBoundExceeded(
-                    f"closure exceeded {cfg.max_components} components; "
-                    "the closure may be infinite",
-                    len(pool),
+                    f"closure exceeded {max_components} components; "
+                    "the closure may be infinite"
                 )
             assert prod.is_lagrangian, "composition of Lagrangian components went astray"
             pool[prod.space] = prod

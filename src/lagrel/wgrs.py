@@ -24,7 +24,6 @@ from .exact_linalg import (
     _int_vector,
     _matrix,
     as_vector,
-    matrix_from_payload,
     matrix_to_payload,
     orth_complement,
     quotient,
@@ -40,7 +39,7 @@ from .linear_relations import (
     idempotent_relation,
 )
 from .relation_monoid import (
-    ClosureConfig,
+    MAX_COMPONENTS,
     LagrangianEquivalenceRelation,
     closure,
 )
@@ -125,18 +124,12 @@ class RootSystem:
         return tuple(v for v in self.roots if self.form.pairing(v, v) != 0)
 
     @cached_property
-    def _iso_pairs(self) -> tuple[Vector, ...]:
+    def iso_pairs(self) -> tuple[Vector, ...]:
         return tuple(sorted({_orient(v) for v in self.iso_roots}))
 
     @cached_property
-    def _aniso_pairs(self) -> tuple[Vector, ...]:
-        return tuple(sorted({_orient(v) for v in self.aniso_roots}))
-
-    def iso_pairs(self) -> tuple[Vector, ...]:
-        return self._iso_pairs
-
     def aniso_pairs(self) -> tuple[Vector, ...]:
-        return self._aniso_pairs
+        return tuple(sorted({_orient(v) for v in self.aniso_roots}))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.form == other.form and self.roots == other.roots
@@ -195,7 +188,7 @@ class RootSystem:
         """
         if self._weyl is None:
             self.require_valid()
-            self._weyl = generate_group(self.form, map(self.reflection, self.aniso_pairs()), max_order)
+            self._weyl = generate_group(self.form, map(self.reflection, self.aniso_pairs), max_order)
         if len(self._weyl) > max_order:
             raise RuntimeError("Weyl group generation exceeded its bound")
         return self._weyl
@@ -234,7 +227,7 @@ class RootSystem:
 
     def iso_sets(self) -> tuple[IsoSet, ...]:
         """All iso-sets, the empty one included."""
-        return self._iso_sets(self.iso_pairs())
+        return self._iso_sets(self.iso_pairs)
 
     def _iso_sets(self, pairs: Sequence[Vector]) -> tuple[IsoSet, ...]:
         out = []
@@ -249,7 +242,7 @@ class RootSystem:
         return tuple(sorted(set(out)))
 
     def _orthogonal_iso_pairs(self, v: Sequence[Rational] | None) -> list[Vector]:
-        pairs = list(self.iso_pairs())
+        pairs = list(self.iso_pairs)
         if v is not None:
             vv = as_vector(v)
             pairs = [p for p in pairs if self.form.pairing(p, vv) == 0]
@@ -393,12 +386,12 @@ class RootSystem:
     def relation_generators(self) -> list[LinearRelation]:
         gens: list[LinearRelation] = []
         seen = set()
-        for a in self.aniso_pairs():
+        for a in self.aniso_pairs:
             g = graph(self.reflection(a))
             if g.space not in seen:
                 seen.add(g.space)
                 gens.append(g)
-        for a in self.iso_pairs():
+        for a in self.iso_pairs:
             v0 = orth_complement(self.form, Subspace.from_vectors([a]))
             e = idempotent_relation(self.form, v0)
             if e.space not in seen:
@@ -406,7 +399,7 @@ class RootSystem:
                 gens.append(e)
         return gens
 
-    def build_relation(self, config: ClosureConfig | None = None,
+    def build_relation(self, max_components: int = MAX_COMPONENTS,
                        check: bool = True) -> LagrangianEquivalenceRelation:
         """Closure of the Weyl graphs and isotropic-translation idempotents.
 
@@ -414,7 +407,7 @@ class RootSystem:
         {graph(w) o E_{S-perp}} over w in W and iso-sets S, by double inclusion.
         """
         self.require_valid()
-        rel = closure(self.form, self.relation_generators(), config)
+        rel = closure(self.form, self.relation_generators(), max_components)
         if check and {c.space for c in rel.components} != self.described_components():
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
@@ -591,6 +584,6 @@ def rootsystem_to_payload(rs: RootSystem) -> dict:
 
 def rootsystem_from_payload(payload: dict) -> RootSystem:
     gram = payload["gram"]
-    form = BilinearForm(matrix_from_payload(gram, cols=len(gram)))
+    form = BilinearForm(Matrix(gram, cols=len(gram)))
     roots = [as_vector(r) for r in payload["roots"]]
     return RootSystem(form, roots)

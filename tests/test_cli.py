@@ -303,6 +303,17 @@ from lagrel.linear_relations import Isometry
 Isometry.is_identity = lambda self: False
 print(suite_wgrs(0)["two_step_witness"])
 """, "(172, 16)\n"),
+    "relation weyl group": ("""
+from lagrel.exact_linalg import BilinearForm
+from lagrel.linear_relations import Isometry, graph
+from lagrel.relation_monoid import LagrangianEquivalenceRelation
+form = BilinearForm.diagonal([1, 1, 1])
+s12, s23 = (graph(Isometry.reflection(form, r)) for r in ((1, -1, 0), (0, 1, -1)))
+try:
+    LagrangianEquivalenceRelation(form, [s12, s23]).weyl_group
+except AssertionError as exc:
+    print(exc)
+""", "atypicality-0 components are not closed under products\n"),
 }
 
 
@@ -334,7 +345,9 @@ def test_invalid_root_system_file_exit_1(tmp_path, capsys):
 def test_zero_max_components_exit_1(tmp_path, capsys):
     # 0 is a bound like any other, not "no bound given"
     path = build_gl11(tmp_path, capsys)
-    for argv in (("wgrs", "relation", str(path)), ("analyze", str(path))):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"form": [["1/1", "0/1"], ["0/1", "-1/1"]], "generators": []}))
+    for argv in (("wgrs", "relation", str(path)), ("analyze", str(path)), ("analyze", str(gens))):
         code, out, err = run(capsys, *argv, "--max-components", "0")
         assert code == 1
         assert out == ""

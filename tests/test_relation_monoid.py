@@ -19,7 +19,6 @@ from lagrel.linear_relations import (
 )
 from lagrel.relation_monoid import (
     ClosureBoundExceeded,
-    ClosureConfig,
     LagrangianEquivalenceRelation,
     closure,
 )
@@ -71,7 +70,13 @@ def test_closure_bound_exceeded_on_infinite_group():
     form = BilinearForm(Matrix([[0, 1], [1, 0]]))
     boost = Isometry(form, Matrix([[2, 0], [0, "1/2"]]))
     with pytest.raises(ClosureBoundExceeded):
-        closure(form, [graph(boost)], ClosureConfig(max_components=64))
+        closure(form, [graph(boost)], max_components=64)
+
+
+def test_closure_rejects_a_non_positive_bound():
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="closure bounds must be positive"):
+            closure(GL11, [], bound)
 
 
 def test_non_group_component_set_fails_the_weyl_check():
