@@ -3,9 +3,12 @@
 Because every component of a relation is a linear subspace of V x V, the
 invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 (possibly non-Noetherian) ring C[V]^R is computed one graded slice at a
-time: the constraints from each component are expanded symbolically over Q
-and intersected as exact nullspaces.  Bases are normalized in graded
-lexicographic order for reproducibility.
+time: the constraints of the relation's generators (of every component when
+it has none) are expanded symbolically over Q and intersected as exact
+nullspaces.  Generators suffice: an f constant on L1 and on L2 is constant on
+L1 o L2, through the middle point, and on the transpose, and closure() makes
+every component a word in the generators and their inverses.  Bases are
+normalized in graded lexicographic order for reproducibility.
 
 C[V]^W of a finite group W of isometries is computed by the same solver, as
 the invariants of the relation made of the graphs of the elements of W.
@@ -229,8 +232,9 @@ def polynomial_from_payload(payload: dict, num_vars: int) -> Polynomial:
 # For one component L with basis rows (x_k | y_k), the points of L are
 # (X^T t, Y^T t), so f is constant on L-classes iff f(X^T t) - f(Y^T t)
 # vanishes identically in t.  The coefficients of that polynomial in t are
-# linear constraints on the coefficients of f; all components contribute and
-# the intersection of their nullspaces is computed incrementally.
+# linear constraints on the coefficients of f.  The relation's generators (every
+# component when it has none; see the module docstring) contribute, and the
+# intersection of their nullspaces is computed incrementally.
 # ---------------------------------------------------------------------------
 
 
@@ -266,17 +270,20 @@ def _intersect_constraints(basis_rows: tuple, delta_cols: dict, mons: tuple,
     t_mons = monomials(t_vars, degree)
     t_index = {e: i for i, e in enumerate(t_mons)}
     rows = [[0] * k for _ in t_mons]
-    for j, brow in enumerate(basis_rows):
-        for e_idx, coeff in enumerate(brow):
-            if coeff:
-                for texp, w in delta_cols.get(mons[e_idx], {}).items():
-                    rows[t_index[texp]][j] += coeff * w
-    kernel = _nullspace([tuple(r) for r in rows], k)
+    support = [[(i, c) for i, c in enumerate(brow) if c] for brow in basis_rows]
+    for j, entries in enumerate(support):
+        for e_idx, coeff in entries:
+            for texp, w in delta_cols.get(mons[e_idx], {}).items():
+                rows[t_index[texp]][j] += coeff * w
+    if not any(any(r) for r in rows):
+        return basis_rows
     new_rows = []
-    for y in kernel:
-        new_rows.append(
-            tuple(sum(y[j] * basis_rows[j][i] for j in range(k)) for i in range(len(mons)))
-        )
+    for y in _nullspace(rows, k):
+        acc = [0] * len(mons)  # y times the basis, over each row's nonzero entries
+        for yj, entries in zip(y, support):
+            for i, c in entries:
+                acc[i] += yj * c
+        new_rows.append(acc)
     return _echelon(new_rows)
 
 
@@ -299,7 +306,7 @@ def invariant_space(relation: LagrangianEquivalenceRelation, degree: int) -> lis
     mons = monomials(n, degree)
     basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))
     unit_space = diagonal(relation.form).space
-    for comp in relation.components:
+    for comp in relation.generators or relation.components:
         if comp.space == unit_space or not basis:
             continue
         d = comp.space.dim

@@ -53,9 +53,11 @@ MAX_COMPONENTS = 100_000
 class LagrangianEquivalenceRelation:
     """A finite union of Lagrangian components closed under composition/inverse.
 
-    The constructor deduplicates components by their canonical subspace and
-    always includes the diagonal; closedness itself is the builder's job and
-    can be audited with verify_closed().
+    The constructor deduplicates components by their canonical subspace,
+    always includes the diagonal and rejects a generator that is not a
+    component (invariant_space takes its constraints from the generators);
+    closedness itself is the builder's job and can be audited with
+    verify_closed().
     """
 
     def __init__(self, form: BilinearForm, components: Iterable[LinearRelation],
@@ -69,9 +71,11 @@ class LagrangianEquivalenceRelation:
             if not comp.is_lagrangian:
                 raise ValueError("component is not Lagrangian")
             by_space[comp.space] = comp
+        self.generators = tuple(generators)
+        if any(g.space not in by_space for g in self.generators):
+            raise ValueError("generator is not a component of the relation")
         self.form = form
         self.components = tuple(sorted(by_space.values()))
-        self.generators = tuple(generators)
         self._spaces = frozenset(by_space)
 
     @property

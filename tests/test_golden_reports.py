@@ -6,7 +6,9 @@ was unified.  A refactor of the linear algebra or the polynomial code must
 leave all of them unchanged; a deliberate output change must re-record them
 and say why.  One more pin covers the payload bytes of the seeded random
 relations that `verify monoid` draws, and one more the stdout of the fixed
-`verify` suites.
+`verify` suites.  Three more pin reports whose slices reach degree 6 to 8 on
+gl(2|2) and gl(3|2), recorded before the slice solver switched to the
+closure's generators.
 """
 
 from __future__ import annotations
@@ -77,6 +79,16 @@ GOLDEN = {
     "gl-1-2 wgrs reduce": "6951b688f14cc3e4a72122457769825e127395285e3610a92894a3cc36c08cf6",
     "gl-1-2 wgrs classes": "884fb0c17adc3e753c94eda95c4814ce9845d4e73983e24acf8cb21552ff495c",
     "gl-1-2 wgrs classes related": "5085d95aa4be3ca18a7ec649f0aefce32b2637e73ca47464780091c391c52e29",
+    "gl-2-2 analyze d6 related": "9772da27331e93a39bb0161867ddb78d17a8876d01f7d711a83f4f8ba9c2b31c",
+    "gl-3-2 analyze d6": "0faeb5e1f3fff2267a1439bf41fe66e08a3fcf318087e3e727e1a4005bbd3338",
+    "gl-2-2 invariants d8": "2d9ae9e7ad08b2c83262707b3733f88506b2e79fc25b837b00ed908487c4e9dd",
+}
+
+# reports whose invariant slices reach degree 6 to 8, on larger systems
+SLICE_CASES = {
+    "gl-2-2 analyze d6 related": ("gl-2-2", ["analyze", "--degree", "6", "--x=1,2,3,4", "--y=2,1,3,4"]),
+    "gl-3-2 analyze d6": ("gl-3-2", ["analyze", "--degree", "6"]),
+    "gl-2-2 invariants d8": ("gl-2-2", ["invariants", "--degree", "8"]),
 }
 
 
@@ -110,6 +122,20 @@ def test_report_bytes(system, catalog_files, tmp_path):
         code = main(argv[:k] + [str(catalog_files[system])] + argv[k:] + ["--out", str(out)])
         assert code == 0, name
         if _sha256(out) != GOLDEN[f"{system} {name}"]:
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_slice_report_bytes(tmp_path):
+    mismatched = []
+    for name, (system, argv) in SLICE_CASES.items():
+        _, m, n = system.split("-")
+        path = tmp_path / f"{system}.json"
+        if not path.exists():
+            assert main(["wgrs", "build", "gl", m, n, "--out", str(path)]) == 0
+        out = tmp_path / "report.json"
+        assert main(argv[:1] + [str(path)] + argv[1:] + ["--out", str(out)]) == 0, name
+        if _sha256(out) != GOLDEN[name]:
             mismatched.append(name)
     assert mismatched == []
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import built_relation
+from lagrel import invariants
 from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
@@ -33,8 +35,8 @@ from lagrel.invariants import (
     verify_invariants,
     weyl_invariant_space,
 )
-from lagrel.linear_relations import Isometry
-from lagrel.relation_monoid import closure
+from lagrel.linear_relations import Isometry, graph
+from lagrel.relation_monoid import LagrangianEquivalenceRelation, closure
 from lagrel.wgrs import catalog, rootsystem_from_payload
 
 
@@ -299,3 +301,42 @@ def test_restriction_map_empty_source_and_target_shapes(gl11):
     m = restriction_map(rs.build_relation(), v0, 1)
     assert (m.rows, m.cols) == (0, 0)
     assert restriction_map(rs.build_relation(), v0, 0) == Matrix.identity(1)
+
+
+# catalog entry and highest degree: the slices from a closure's generators
+# against the slices from all of its components
+SLICE_PATHS = [
+    ("gl", 1, 0, 6), ("gl", 1, 1, 6), ("gl", 1, 2, 6), ("gl", 2, 0, 6), ("gl", 2, 1, 6),
+    ("gl", 2, 2, 6), ("gl", 3, 0, 6), ("gl", 3, 1, 6), ("gl", 4, 0, 6), ("osp", 3, 2, 6),
+    ("gl", 3, 2, 4),
+]
+
+
+@pytest.mark.parametrize("name, m, n, max_degree", SLICE_PATHS)
+def test_generators_and_all_components_give_the_same_slices(name, m, n, max_degree):
+    rel = built_relation(name, m, n)
+    every = LagrangianEquivalenceRelation(rel.form, rel.components)
+    assert rel.generators or len(rel) == 1
+    assert not every.generators
+    for d in range(max_degree + 1):
+        basis = invariant_space(rel, d)
+        assert basis == invariant_space(every, d), d
+        assert verify_invariants(rel, basis), d
+
+
+def test_inverse_generator_adds_no_constraints(monkeypatch):
+    # closure() lists the inverse of a 3-cycle right after it; on a slice that
+    # is already invariant under the cycle, the inverse's constraints all vanish
+    form = BilinearForm.diagonal([1, 1, 1])
+    cycle = Isometry(form, Matrix([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
+    rel = closure(form, [graph(cycle)])
+    assert len(rel.generators) == 2
+    every = LagrangianEquivalenceRelation(form, rel.components)
+    expected = [invariant_space(every, d) for d in range(1, 5)]
+    kernels = []
+    nullspace = invariants._nullspace
+    monkeypatch.setattr(invariants, "_nullspace",
+                        lambda rows, k: kernels.append(k) or nullspace(rows, k))
+    assert [invariant_space(rel, d) for d in range(1, 5)] == expected
+    assert len(kernels) == 4  # one kernel per degree: the cycle's, not its inverse's
+    assert [len(b) for b in expected] == [1, 2, 4, 5]  # cyclic orbits of monomials

@@ -99,6 +99,16 @@ def test_weyl_group_is_the_group_of_the_generators():
         LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).weyl_group
 
 
+def test_generator_outside_the_components_is_rejected():
+    # a wrong generator list would give invariant_space a wrong slice
+    form = BilinearForm.diagonal([1, 1, 1])
+    s12 = graph(Isometry.reflection(form, (1, -1, 0)))
+    s23 = graph(Isometry.reflection(form, (0, 1, -1)))
+    with pytest.raises(ValueError, match="generator is not a component of the relation"):
+        LagrangianEquivalenceRelation(form, [s12], generators=[s23])
+    assert LagrangianEquivalenceRelation(form, [s12], generators=[s12]).generators == (s12,)
+
+
 def test_weyl_groups_of_catalog(gl21, gl22):
     assert len(closure(GL11, [gl11_idempotent()]).weyl_group) == 1
     assert len(gl21.weyl_group) == 2
