@@ -23,7 +23,7 @@ print("1-regular:", ok, " witness codim:", rel.n - witness.dim)
 print("\n== reduction to a smaller relation ==")
 reduced = rel.reduce(witness)
 print("reduction lives in dimension", reduced.n, "with", len(reduced), "components")
-print("reduced Weyl group order:", len(rel.reduced_weyl_group(witness)))
+print("reduced Weyl group order:", len(reduced.weyl_group))
 
 print("\n== membership is decided componentwise ==")
 print("(e1, e1) related:", rel.membership((1, 0, 0, 0), (1, 0, 0, 0)))

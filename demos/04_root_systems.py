@@ -42,4 +42,4 @@ red = rs.reduce_by_root(alpha)
 print("gl(2|2) reduced by e1-e3:", len(red.roots), "roots in dimension", red.dim)
 v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
 print("both reduction routes agree:",
-      rs.build_relation(check=False).reduce(v0) == red.build_relation(check=False))
+      rs.build_relation().reduce(v0) == red.build_relation())

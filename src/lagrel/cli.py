@@ -44,6 +44,7 @@ from .linear_relations import (
     canonical_data,
     classify_idempotent,
     compose,
+    idempotent_relation,
     inverse,
     random_pairs,
     relation_from_data,
@@ -331,10 +332,10 @@ def suite_wgrs(seed: int) -> dict[str, tuple[int, int]]:
 def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
     """Graded dimensions and pointwise invariance on catalog relations."""
     rng = random.Random(seed)
-    rel = catalog("gl", 1, 1).build_relation(check=False)
+    rel = catalog("gl", 1, 1).build_relation()
     dims = [len(invariant_space(rel, d)) for d in range(1, 7)]
     checks = [("baby_dimensions", dims == [1, 2, 3, 4, 5, 6])]
-    rel21 = catalog("gl", 2, 1).build_relation(check=False)
+    rel21 = catalog("gl", 2, 1).build_relation()
     for d in (1, 2, 3):
         basis = invariant_space(rel21, d)
         weyl_basis = weyl_invariant_space(list(rel21.weyl_group), d)
@@ -354,13 +355,18 @@ def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
 
 
 def reduction_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
-    """(name, ok) per check of `verify reduction` on rs: its relation is semiregular, and
-    reducing it by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
-    rel = rs.build_relation(check=False)
+    """(name, ok) per check of `verify reduction` on rs: reduce(V0) keeps the components
+    with E_V0 o L o E_V0 = L, per special coisotropic V0; its relation is semiregular;
+    reducing by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
+    rel = rs.build_relation()
+    for v0 in rel.special_coisotropics():
+        e = idempotent_relation(rs.form, v0)
+        fixed = {c.space for c in rel.components if compose(compose(e, c), e).space == c.space}
+        yield "reduction_filters", fixed == {c.space for c in rel.components_inside(v0)}
     yield "semiregular", rel.is_semiregular()
     for alpha in rs.iso_pairs:
         v0 = orth_complement(rs.form, Subspace.from_vectors([alpha]))
-        rebuilt = rs.reduce_by_root(alpha).build_relation(check=False)
+        rebuilt = rs.reduce_by_root(alpha).build_relation()
         yield "reduction_square", rel.reduce(v0) == rebuilt
 
 
@@ -372,7 +378,7 @@ def suite_reduction(seed: int) -> dict[str, tuple[int, int]]:
 
 def suite_product(seed: int) -> dict[str, tuple[int, int]]:
     """Product dimension formula and evaluation-matrix utility."""
-    rel = catalog("gl", 1, 1).build_relation(check=False)
+    rel = catalog("gl", 1, 1).build_relation()
     checks = [("product_dimension_formula", product_invariant_check(rel, rel, d)) for d in range(5)]
     basis = invariant_space(rel, 3)
     try:

@@ -403,7 +403,10 @@ class DiscriminantPolynomial:
 
 
 def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> DiscriminantPolynomial:
-    """Product of the linear forms cutting the W-orbit of discriminant hyperplanes."""
+    """Product of the linear forms cutting the W-orbit of discriminant hyperplanes.
+
+    That it lies in C[V]^R, hence in C[V]^W, is a test on catalog entries, not a step here.
+    """
     ok, witness = relation.is_one_regular()
     if not ok or witness is None:
         raise ValueError("relation is not 1-regular with a codimension-1 witness")
@@ -411,17 +414,10 @@ def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> Discrimi
     t = Polynomial.one(n)
     orbit = relation.discriminant()
     for h in orbit:
-        normal = _nullspace(h.rows, n)
-        assert len(normal) == 1
-        t = t * Polynomial.linear_form(normal[0])
+        (normal,) = _nullspace(h.rows, n)
+        t = t * Polynomial.linear_form(normal)
     lead = t.terms[t.leading_monomial()]
     t = t.scale(Fraction(1, 1) / lead)
-    for s in relation.weyl_group:
-        assert t.compose_linear(s.matrix) == t, "discriminant polynomial is not W-invariant"
-    basis = invariant_space(relation, len(orbit))
-    assert contains_polynomial(basis, t, len(orbit)), (
-        "discriminant polynomial is not an invariant of the relation"
-    )
     return DiscriminantPolynomial(t, len(orbit), orbit)
 
 

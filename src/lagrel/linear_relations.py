@@ -336,7 +336,10 @@ def isometry_of_graph(rel: LinearRelation) -> Isometry:
 
 
 def canonical_data(rel: LinearRelation) -> tuple[Subspace, Subspace, Matrix]:
-    """Complete invariant (p1, p2, induced isometry between the quotients)."""
+    """Complete invariant (p1, p2, induced isometry between the quotients).
+
+    alpha is not re-checked: relation_from_data raises when it is not an isometry.
+    """
     if not rel.is_lagrangian:
         raise ValueError("canonical data is defined for Lagrangian relations")
     v0 = rel.p1
@@ -350,9 +353,6 @@ def canonical_data(rel: LinearRelation) -> tuple[Subspace, Subspace, Matrix]:
     xs = _matrix(1, (r[:n] for r in rel.space.rows), n) @ q.projection.transpose()
     ys = _matrix(1, (r[n:] for r in rel.space.rows), n) @ qp.projection.transpose()
     alpha = solve_right(xs, ys).transpose()
-    assert alpha.transpose() @ qp.induced_form.gram @ alpha == q.induced_form.gram, (
-        "induced map is not an isometry of the quotient forms"
-    )
     return v0, v0p, alpha
 
 

@@ -21,7 +21,6 @@ from .exact_linalg import (
     _echelon,
     _int_product,
     _matrix,
-    _residual,
     as_vector,
     orth_complement,
     quotient,
@@ -34,7 +33,6 @@ from .linear_relations import (
     compose,
     diagonal,
     generate_group,
-    idempotent_relation,
     inverse,
     isometry_of_graph,
 )
@@ -157,38 +155,27 @@ class LagrangianEquivalenceRelation:
 
     # -- reduction ----------------------------------------------------------
 
+    def components_inside(self, v0: Subspace) -> tuple[LinearRelation, ...]:
+        """The components contained in V0 x V0: the ones reduce(v0) keeps."""
+        zero = (0,) * self.n
+        box = Subspace(2 * self.n, [r + zero for r in v0.rows] + [zero + r for r in v0.rows])
+        return tuple(c for c in self.components if box.contains(c.space))
+
     def reduce(self, v0: Subspace) -> "LagrangianEquivalenceRelation":
         """Induced relation on V0/V1 for a special coisotropic V0.
 
-        Keeps exactly the components contained in V0 x V0; the equivalent
-        E-sandwich filter is recomputed and compared as a consistency check.
+        Maps components_inside(v0) to V0/V1; `verify reduction` checks that they
+        are the components L with E o L o E = L (`reduction_filters`).
         """
         if v0 not in self.special_coisotropics():
             raise ValueError("subspace is not special coisotropic for this relation")
         n = self.n
         q = quotient(self.form, v0)
-        selected = []
-        for comp in self.components:
-            inside = all(
-                _residual(r[:n], v0.rows) is None and _residual(r[n:], v0.rows) is None
-                for r in comp.space.rows
-            )
-            if inside:
-                selected.append(comp)
-        e = idempotent_relation(self.form, v0)
-        sandwich = {
-            comp.space
-            for comp in self.components
-            if compose(compose(e, comp), e).space == comp.space
-        }
-        assert sandwich == {c.space for c in selected}, "reduction filters disagree"
-        reduced = []
-        for comp in selected:
-            space = Subspace(2 * q.dim, _map_halves(comp.space.rows, n, q.projection))
-            rel = LinearRelation(q.induced_form, space)
-            if not rel.is_lagrangian:
-                raise RuntimeError("reduced component is not Lagrangian")
-            reduced.append(rel)
+        reduced = (
+            LinearRelation(q.induced_form,
+                           Subspace(2 * q.dim, _map_halves(comp.space.rows, n, q.projection)))
+            for comp in self.components_inside(v0)
+        )
         return LagrangianEquivalenceRelation(q.induced_form, reduced)
 
     # -- regularity hierarchy -------------------------------------------------
@@ -205,22 +192,6 @@ class LagrangianEquivalenceRelation:
         if orbit == set(disc):
             return True, rep
         return False, None
-
-    def reduced_weyl_group(self, v0: Subspace) -> tuple[Isometry, ...]:
-        """Weyl group of the reduction, checked against the stabilizer quotient."""
-        ok, _ = self.is_one_regular()
-        if not ok or v0 not in self.discriminant():
-            raise ValueError("relation is not 1-regular with this witness")
-        direct = self.reduce(v0).weyl_group
-        q = quotient(self.form, v0)
-        induced = set()
-        for s in self.weyl_group:
-            if v0.transform(s.matrix) == v0:
-                induced.add(q.projection @ s.matrix @ q.section)
-        assert induced == {w.matrix for w in direct}, (
-            "stabilizer quotient disagrees with the reduced Weyl group"
-        )
-        return direct
 
     # -- products -------------------------------------------------------------
 
@@ -480,7 +451,6 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
                     f"closure exceeded {max_components} components; "
                     "the closure may be infinite"
                 )
-            assert prod.is_lagrangian, "composition of Lagrangian components went astray"
             pool[prod.space] = prod
             queue.append((prod, depth + 1))
     return LagrangianEquivalenceRelation(form, pool.values(), generators=tuple(gens))

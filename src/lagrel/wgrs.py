@@ -400,11 +400,11 @@ class RootSystem:
         return gens
 
     def build_relation(self, max_components: int = MAX_COMPONENTS,
-                       check: bool = True) -> LagrangianEquivalenceRelation:
+                       check: bool = False) -> LagrangianEquivalenceRelation:
         """Closure of the Weyl graphs and isotropic-translation idempotents.
 
-        With check=True the component set is verified to be exactly
-        {graph(w) o E_{S-perp}} over w in W and iso-sets S, by double inclusion.
+        With check=True (`verify wgrs`) the components must be exactly the
+        {graph(w) o E_{S-perp}} over w in weyl_group() and iso-sets S.
         """
         self.require_valid()
         rel = closure(self.form, self.relation_generators(), max_components)

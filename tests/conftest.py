@@ -10,8 +10,8 @@ from lagrel import catalog
 
 
 @lru_cache(maxsize=None)
-def built_relation(name: str, m: int, n: int, check: bool = False):
-    return catalog(name, m, n).build_relation(check=check)
+def built_relation(name: str, m: int, n: int):
+    return catalog(name, m, n).build_relation()
 
 
 @pytest.fixture(scope="session")

@@ -138,8 +138,11 @@ def test_criterion_06_two_step(wgrs_tally):
 def test_criterion_07_reduction_coherence(reduction_tally):
     tally, elapsed = reduction_tally
     assert tally["reduction_square"] == (37, 0)
+    # reduce keeps exactly the components with E o L o E = L, per special coisotropic
+    assert tally["reduction_filters"] == (72, 0)
     assert elapsed < 60.0, f"reduction squares took {elapsed:.1f}s"
-    print(f"PASS criterion 7: 37 reduction squares commute exactly in {elapsed:.1f}s")
+    print(f"PASS criterion 7: 37 reduction squares commute and 72 reduction filters agree "
+          f"exactly in {elapsed:.1f}s")
 
 
 def test_criterion_08_semiregularity(reduction_tally):

@@ -303,6 +303,12 @@ from lagrel.linear_relations import Isometry
 Isometry.is_identity = lambda self: False
 print(suite_wgrs(0)["two_step_witness"])
 """, "(172, 16)\n"),
+    "reduction filters": ("""
+from lagrel import cli
+from lagrel import linear_relations as lr
+cli.idempotent_relation = lambda form, v0: lr.diagonal(form)
+print(cli.suite_reduction(0)["reduction_filters"])
+""", "(3, 9)\n"),
     "relation weyl group": ("""
 from lagrel.exact_linalg import BilinearForm
 from lagrel.linear_relations import Isometry, graph

@@ -8,7 +8,9 @@ and say why.  One more pin covers the payload bytes of the seeded random
 relations that `verify monoid` draws, and one more the stdout of the fixed
 `verify` suites.  Three more pin reports whose slices reach degree 6 to 8 on
 gl(2|2) and gl(3|2), recorded before the slice solver switched to the
-closure's generators.
+closure's generators.  Three more pin the `discriminant` reports of gl(2|2)
+and gl(3|2) and the `wgrs relation` report of gl(4|1), recorded before those
+commands stopped re-deriving results they had already computed.
 """
 
 from __future__ import annotations
@@ -82,13 +84,20 @@ GOLDEN = {
     "gl-2-2 analyze d6 related": "9772da27331e93a39bb0161867ddb78d17a8876d01f7d711a83f4f8ba9c2b31c",
     "gl-3-2 analyze d6": "0faeb5e1f3fff2267a1439bf41fe66e08a3fcf318087e3e727e1a4005bbd3338",
     "gl-2-2 invariants d8": "2d9ae9e7ad08b2c83262707b3733f88506b2e79fc25b837b00ed908487c4e9dd",
+    "gl-2-2 discriminant": "bd91df6777e1839c917dae83b42c304935cc671591177979459d31a667870d78",
+    "gl-3-2 discriminant": "61a90e53000387c8e6ab59e6a3abaea84b7bd54596043c9ff7f886605024dd08",
+    "gl-4-1 wgrs relation": "64a8d760872a1fca625781cae291e8d6d74a9eb86b036ce305529b3a5c85f709",
 }
 
-# reports whose invariant slices reach degree 6 to 8, on larger systems
-SLICE_CASES = {
+# reports on larger systems: invariant slices of degree 6 to 8, then commands
+# that no longer build the (w, S) description or the discriminant's slice
+LARGE_CASES = {
     "gl-2-2 analyze d6 related": ("gl-2-2", ["analyze", "--degree", "6", "--x=1,2,3,4", "--y=2,1,3,4"]),
     "gl-3-2 analyze d6": ("gl-3-2", ["analyze", "--degree", "6"]),
     "gl-2-2 invariants d8": ("gl-2-2", ["invariants", "--degree", "8"]),
+    "gl-2-2 discriminant": ("gl-2-2", ["discriminant"]),
+    "gl-3-2 discriminant": ("gl-3-2", ["discriminant"]),
+    "gl-4-1 wgrs relation": ("gl-4-1", ["wgrs", "relation"]),
 }
 
 
@@ -128,13 +137,14 @@ def test_report_bytes(system, catalog_files, tmp_path):
 
 def test_slice_report_bytes(tmp_path):
     mismatched = []
-    for name, (system, argv) in SLICE_CASES.items():
+    for name, (system, argv) in LARGE_CASES.items():
         _, m, n = system.split("-")
         path = tmp_path / f"{system}.json"
         if not path.exists():
             assert main(["wgrs", "build", "gl", m, n, "--out", str(path)]) == 0
+        k = 2 if argv[0] == "wgrs" else 1
         out = tmp_path / "report.json"
-        assert main(argv[:1] + [str(path)] + argv[1:] + ["--out", str(out)]) == 0, name
+        assert main(argv[:k] + [str(path)] + argv[k:] + ["--out", str(out)]) == 0, name
         if _sha256(out) != GOLDEN[name]:
             mismatched.append(name)
     assert mismatched == []
@@ -170,6 +180,7 @@ VERIFY_STDOUT = {
         "PASS weyl_containment: 3 ok, 0 failed (seed=0)\n"
     ),
     "reduction": (
+        "PASS reduction_filters: 12 ok, 0 failed (seed=0)\n"
         "PASS reduction_square: 7 ok, 0 failed (seed=0)\n"
         "PASS semiregular: 3 ok, 0 failed (seed=0)\n"
     ),

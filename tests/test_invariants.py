@@ -139,11 +139,14 @@ def test_discriminant_polynomial_gl21(gl21):
     assert disc.polynomial == expected
 
 
-def test_discriminant_times_weyl_invariants_are_invariants(gl21):
-    disc = discriminant_polynomial(gl21)
-    group = list(gl21.weyl_group)
-    for d in (0, 1, 2):
-        basis = invariant_space(gl21, d + disc.degree)
+@pytest.mark.parametrize("system", ["gl-1-1", "gl-1-2", "gl-2-1", "gl-2-2"])
+def test_discriminant_times_weyl_invariants_are_invariants(system):
+    _, m, n = system.split("-")
+    rel = built_relation("gl", int(m), int(n))
+    disc = discriminant_polynomial(rel)
+    group = list(rel.weyl_group)
+    for d in (0, 1, 2):  # d = 0: T itself lies in the slice of C[V]^R of its degree
+        basis = invariant_space(rel, d + disc.degree)
         for g in weyl_invariant_space(group, d):
             assert contains_polynomial(basis, disc.polynomial * g, d + disc.degree)
 

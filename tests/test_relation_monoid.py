@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
 from lagrel.linear_relations import (
     Isometry,
     LinearRelation,
@@ -23,6 +23,8 @@ from lagrel.relation_monoid import (
     closure,
 )
 from lagrel import catalog
+
+from conftest import built_relation
 
 GL11 = BilinearForm.diagonal([1, -1])
 
@@ -55,7 +57,7 @@ def test_closure_idempotent():
     rel = closure(GL11, [gl11_idempotent()])
     again = closure(GL11, list(rel.components))
     assert again == rel
-    rel21 = catalog("gl", 2, 1).build_relation(check=False)
+    rel21 = catalog("gl", 2, 1).build_relation()
     again21 = closure(rel21.form, list(rel21.components))
     assert again21 == rel21
 
@@ -181,12 +183,14 @@ def test_one_regular(gl11, gl21, gl22):
 
 
 def test_reduced_weyl_group(gl11, gl21, gl22):
-    for rel in (gl11, gl21):
+    # the stabilizer quotient {pi s sigma : s in W, s(V0) = V0} is the Weyl group of the reduction
+    for rel, order in ((gl11, 1), (gl21, 1), (gl22, 1), (built_relation("gl", 3, 1), 2)):
         ok, witness = rel.is_one_regular()
-        assert len(rel.reduced_weyl_group(witness)) == 1
-    ok, witness = gl22.is_one_regular()
-    direct = gl22.reduce(witness).weyl_group
-    assert gl22.reduced_weyl_group(witness) == direct
+        q = quotient(rel.form, witness)
+        induced = {q.projection @ s.matrix @ q.section
+                   for s in rel.weyl_group if witness.transform(s.matrix) == witness}
+        reduced = rel.reduce(witness).weyl_group
+        assert induced == {w.matrix for w in reduced} and len(reduced) == order
 
 
 def test_product_structure(gl11):
