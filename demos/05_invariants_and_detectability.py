@@ -1,16 +1,19 @@
 """Graded invariant rings, the discriminant polynomial, point separation.
 
 The invariant ring of a Lagrangian equivalence relation is graded; each
-slice is the exact nullspace of the component constraints.  The discriminant
+slice is the exact nullspace of the component constraints, and one lazy
+sweep, invariant_slices, yields them degree by degree.  The discriminant
 polynomial T generates the kernel of the restriction to a reduction, giving
 the graded exact sequence checked below.  Separating invariants certify that
 non-equivalent points really are non-equivalent.
 """
 
+from itertools import islice
+
 from lagrel import (
     catalog,
     discriminant_polynomial,
-    invariant_space,
+    invariant_slices,
     restriction_map,
     separate,
     weyl_invariant_space,
@@ -20,10 +23,10 @@ from lagrel.invariants import product_invariant_check
 rel = catalog("gl", 2, 1).build_relation()
 
 print("== graded dimensions ==")
-dims = [len(invariant_space(rel, d)) for d in range(7)]
-print("dim C[V]^R in degrees 0..6:", dims)
-print("degree-1 basis:", [str(f) for f in invariant_space(rel, 1)])
-print("degree-2 basis:", [str(f) for f in invariant_space(rel, 2)])
+bases = list(islice(invariant_slices(rel), 7))
+print("dim C[V]^R in degrees 0..6:", [len(b) for b in bases])
+print("degree-1 basis:", [str(f) for f in bases[1]])
+print("degree-2 basis:", [str(f) for f in bases[2]])
 
 print("\n== the discriminant polynomial ==")
 disc = discriminant_polynomial(rel)
@@ -34,9 +37,8 @@ print("\n== graded exact sequence: 0 -> C[V]^W -(T)-> C[V]^R -> C[V']^R' -> 0 ==
 ok, witness = rel.is_one_regular()
 reduced = rel.reduce(witness)
 group = list(rel.weyl_group)
-for d in range(7):
-    dim_r = len(invariant_space(rel, d))
-    dim_red = len(invariant_space(reduced, d))
+for d, reduced_basis in zip(range(7), invariant_slices(reduced)):
+    dim_r, dim_red = len(bases[d]), len(reduced_basis)
     dim_w = len(weyl_invariant_space(group, d - disc.degree)) if d >= disc.degree else 0
     rank = restriction_map(rel, witness, d).rank()
     print(f"  d={d}: {dim_r} = {dim_w} + {dim_red}, restriction rank {rank} (surjective)")

@@ -40,7 +40,7 @@ from .invariants import (
     Polynomial,
     Separation,
     discriminant_polynomial,
-    invariant_dimensions,
+    invariant_slices,
     invariant_space,
     monomials,
     product_invariant_check,
@@ -78,7 +78,7 @@ __all__ = [
     "format_rational",
     "graph",
     "idempotent_relation",
-    "invariant_dimensions",
+    "invariant_slices",
     "invariant_space",
     "inverse",
     "monomials",

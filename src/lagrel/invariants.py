@@ -3,12 +3,14 @@
 Because every component of a relation is a linear subspace of V x V, the
 invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 (possibly non-Noetherian) ring C[V]^R is computed one graded slice at a
-time: the constraints of the relation's generators (of every component when
-it has none) are expanded symbolically over Q and intersected as exact
-nullspaces.  Generators suffice: an f constant on L1 and on L2 is constant on
-L1 o L2, through the middle point, and on the transpose, and closure() makes
-every component a word in the generators and their inverses.  Bases are
-normalized in graded lexicographic order for reproducibility.
+time by one lazy sweep, invariant_slices: the constraints of the relation's
+generators (of every component when it has none) are expanded symbolically
+over Q, one degree further per step, and intersected as exact nullspaces.
+invariant_space(R, d) is the sweep's degree-d slice.  Generators suffice: an
+f constant on L1 and on L2 is constant on L1 o L2, through the middle point,
+and on the transpose, and closure() makes every component a word in the
+generators and their inverses.  Bases are normalized in graded
+lexicographic order for reproducibility.
 
 C[V]^W of a finite group W of isometries is computed by the same solver, as
 the invariants of the relation made of the graphs of the elements of W.
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, count
-from typing import Iterable, Sequence
+from itertools import combinations_with_replacement, count, islice
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -150,18 +152,16 @@ class Polynomial:
         """Substitute x_i = sum_j m[i][j] t_j; result lives in m.cols variables."""
         if m.rows != self.num_vars:
             raise ValueError("substitution matrix has the wrong number of rows")
-        if not self.num_vars:  # no rows to tell _int_substitution the width
+        if not self.num_vars:  # no rows to tell _substitutions the width
             return Polynomial(m.cols, {(0,) * m.cols: c for c in self.terms.values()})
-        scale, m_int = m.den, m.ints
         terms: dict = {}
-        for d in sorted({sum(e) for e in self.terms}):
-            sub = _int_substitution(m_int, d)
+        for d, sub in zip(range(self.degree() + 1), _substitutions(m.ints)):
             acc: dict = {}
             for e, c in self.terms.items():
                 if sum(e) == d:
                     for texp, w in sub[e].items():
                         acc[texp] = acc.get(texp, 0) + c * w
-            factor = scale ** d
+            factor = m.den ** d
             terms.update((texp, v / factor) for texp, v in acc.items())
         return Polynomial(m.cols, terms)
 
@@ -238,27 +238,26 @@ def polynomial_from_payload(payload: dict, num_vars: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _int_substitution(m_rows: Sequence[Sequence[int]], degree: int) -> dict:
-    """exp -> {t-exp: int coeff} for x^exp composed with the integer matrix."""
+def _substitutions(m_rows: Sequence[Sequence[int]]) -> Iterator[dict]:
+    """Yield, for degree 0, 1, 2, ..., exp -> {t-exp: int coeff} for x^exp composed
+    with the integer matrix; degree d is built from degree d - 1 alone."""
     n = len(m_rows)
     p = len(m_rows[0]) if n else 0
-    cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
-        (0,) * n: {(0,) * p: 1}
-    }
-    for deg in range(1, degree + 1):
-        for e in monomials(n, deg):
+    sub: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * n: {(0,) * p: 1}}
+    for deg in count(1):
+        yield sub
+        prev, sub = sub, {}
+        for e in monomials(n, deg):  # x^e = x_i * x^(e - e_i), i the first variable of e
             i = next(k for k, v in enumerate(e) if v)
-            prev = cache[tuple(v - 1 if k == i else v for k, v in enumerate(e))]
             acc: dict[tuple[int, ...], int] = {}
             row = m_rows[i]
-            for texp, c in prev.items():
+            for texp, c in prev[tuple(v - 1 if k == i else v for k, v in enumerate(e))].items():
                 for j in range(p):
                     w = row[j]
                     if w:
                         key = tuple(v + 1 if k == j else v for k, v in enumerate(texp))
                         acc[key] = acc.get(key, 0) + c * w
-            cache[e] = {k: v for k, v in acc.items() if v}
-    return {e: cache[e] for e in monomials(n, degree)}
+            sub[e] = {k: v for k, v in acc.items() if v}
 
 
 def _intersect_constraints(basis_rows: tuple, delta_cols: dict, mons: tuple,
@@ -296,36 +295,43 @@ def _rows_to_polynomials(rows: Iterable[Sequence[int]], mons: tuple, num_vars: i
     return out
 
 
+def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
+    """Bases of the degree 0, 1, 2, ... slices of the invariant ring of R, lazily.
+
+    Each constraint's substitution grows by one degree per step, so a sweep
+    to degree D expands every generator once.
+    """
+    n = relation.n
+    unit_space = diagonal(relation.form).space
+    constraints = []
+    for comp in relation.generators or relation.components:
+        if comp.space != unit_space:
+            d = comp.space.dim
+            m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
+            m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
+            constraints.append((d, _substitutions(m1), _substitutions(m2)))
+    for degree in count(0):
+        mons = monomials(n, degree)
+        basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))
+        for d, subs1, subs2 in constraints:
+            sub1, sub2 = next(subs1), next(subs2)  # in step with degree, even past an empty basis
+            if not basis:
+                continue
+            delta = {}
+            for e in mons:
+                col = dict(sub1[e])
+                for texp, w in sub2[e].items():
+                    col[texp] = col.get(texp, 0) - w
+                delta[e] = {k: v for k, v in col.items() if v}
+            basis = _intersect_constraints(basis, delta, mons, d, degree)
+        yield _rows_to_polynomials(basis, mons, n)
+
+
 def invariant_space(relation: LagrangianEquivalenceRelation, degree: int) -> list[Polynomial]:
-    """Basis of the homogeneous degree-d slice of the invariant ring of R."""
+    """Basis of the homogeneous degree-d slice of the invariant ring of R: one sweep to d."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    n = relation.n
-    if degree == 0:
-        return [Polynomial.one(n)]
-    mons = monomials(n, degree)
-    basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))
-    unit_space = diagonal(relation.form).space
-    for comp in relation.generators or relation.components:
-        if comp.space == unit_space or not basis:
-            continue
-        d = comp.space.dim
-        m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
-        m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
-        sub1 = _int_substitution(m1, degree)
-        sub2 = _int_substitution(m2, degree)
-        delta = {}
-        for e in mons:
-            col = dict(sub1[e])
-            for texp, w in sub2[e].items():
-                col[texp] = col.get(texp, 0) - w
-            delta[e] = {k: v for k, v in col.items() if v}
-        basis = _intersect_constraints(basis, delta, mons, d, degree)
-    return _rows_to_polynomials(basis, mons, n)
-
-
-def invariant_dimensions(relation: LagrangianEquivalenceRelation, max_degree: int) -> list[int]:
-    return [len(invariant_space(relation, d)) for d in range(max_degree + 1)]
+    return next(islice(invariant_slices(relation), degree, None))
 
 
 def verify_invariants(relation: LagrangianEquivalenceRelation, polys: Sequence[Polynomial]) -> bool:
@@ -450,21 +456,16 @@ def separate(relation: LagrangianEquivalenceRelation, x: Sequence[Rational],
              y: Sequence[Rational], d_max: int = 6) -> Separation:
     """Search for an invariant separating x from y, degree by degree.
 
-    For related points all basis invariants are checked to agree (and a
-    disagreement would be a soundness bug, so it raises).  For unrelated
-    points the search is a semi-decision bounded by d_max.
+    Related points get "equivalent" from membership alone: every invariant
+    agrees on them by definition.  For unrelated points the search walks one
+    sweep of slices and is a semi-decision bounded by d_max.
     """
     xv = as_vector(x)
     yv = as_vector(y)
-    related = relation.membership(xv, yv)
-    if related:
-        for d in range(1, d_max + 1):
-            for f in invariant_space(relation, d):
-                if f.evaluate(xv) != f.evaluate(yv):
-                    raise RuntimeError("an invariant separates two related points")
+    if relation.membership(xv, yv):
         return Separation("equivalent")
-    for d in range(1, d_max + 1):
-        for f in invariant_space(relation, d):
+    for d, basis in zip(range(1, d_max + 1), islice(invariant_slices(relation), 1, None)):
+        for f in basis:
             fx = f.evaluate(xv)
             fy = f.evaluate(yv)
             if fx != fy:
@@ -475,13 +476,10 @@ def separate(relation: LagrangianEquivalenceRelation, x: Sequence[Rational],
 def product_invariant_check(a: LagrangianEquivalenceRelation,
                             b: LagrangianEquivalenceRelation, degree: int) -> bool:
     """dim Inv_d(a x b) == sum over i+j=d of dim Inv_i(a) * dim Inv_j(b)."""
-    prod = a.product(b)
-    left = len(invariant_space(prod, degree))
-    right = sum(
-        len(invariant_space(a, i)) * len(invariant_space(b, degree - i))
-        for i in range(degree + 1)
-    )
-    return left == right
+    dims_a = [len(s) for s in islice(invariant_slices(a), degree + 1)]
+    dims_b = [len(s) for s in islice(invariant_slices(b), degree + 1)]
+    right = sum(dims_a[i] * dims_b[degree - i] for i in range(degree + 1))
+    return len(invariant_space(a.product(b), degree)) == right
 
 
 def rational_point_stream(num_vars: int) -> Iterable[Vector]:

@@ -53,7 +53,7 @@ class LagrangianEquivalenceRelation:
 
     The constructor deduplicates components by their canonical subspace,
     always includes the diagonal and rejects a generator that is not a
-    component (invariant_space takes its constraints from the generators);
+    component (invariant_slices takes its constraints from the generators);
     closedness itself is the builder's job and can be audited with
     verify_closed().
     """

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from conftest import built_relation
+from test_golden_reports import POINTS
 from lagrel import invariants
 from lagrel.exact_linalg import (
     BilinearForm,
@@ -22,6 +24,7 @@ from lagrel.invariants import (
     contains_polynomial,
     discriminant_polynomial,
     independent_evaluation_points,
+    invariant_slices,
     invariant_space,
     monomials,
     polynomial_from_payload,
@@ -48,20 +51,20 @@ def test_degree_zero_is_constants(gl21):
 def test_diagonal_relation_has_all_monomials():
     form = BilinearForm.diagonal([1, 1, -1])
     rel = closure(form, [])
-    for d in range(4):
-        assert len(invariant_space(rel, d)) == len(monomials(3, d))
+    for d, basis in enumerate(islice(invariant_slices(rel), 4)):
+        assert len(basis) == len(monomials(3, d))
 
 
 def test_frozen_catalog_dimensions(gl21, gl22):
     # regression values computed by this solver and cross-checked against the
     # graded exact sequence identity
-    assert [len(invariant_space(gl21, d)) for d in range(7)] == [1, 1, 2, 3, 5, 7, 10]
-    assert [len(invariant_space(gl22, d)) for d in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+    assert [len(b) for b in islice(invariant_slices(gl21), 7)] == [1, 1, 2, 3, 5, 7, 10]
+    assert [len(b) for b in islice(invariant_slices(gl22), 7)] == [1, 1, 2, 3, 5, 7, 11]
 
 
 def test_invariants_agree_on_100_random_points_per_component(gl21):
     rng = random.Random(3)
-    bases = {d: invariant_space(gl21, d) for d in (1, 2, 3)}
+    bases = dict(enumerate(islice(invariant_slices(gl21), 1, 4), start=1))
     for comp in gl21.components:
         for _ in range(100):
             t = [rng.randint(-3, 3) for _ in range(comp.dim)]
@@ -118,9 +121,9 @@ def test_gl21_weyl_degree_one(gl21):
 def test_invariants_contained_in_weyl_invariants(gl21, gl22):
     for rel in (gl21, gl22):
         group = list(rel.weyl_group)
-        for d in (1, 2, 3, 4):
+        for d, basis in zip((1, 2, 3, 4), islice(invariant_slices(rel), 1, None)):
             weyl_basis = weyl_invariant_space(group, d)
-            for f in invariant_space(rel, d):
+            for f in basis:
                 assert contains_polynomial(weyl_basis, f, d)
 
 
@@ -145,8 +148,8 @@ def test_discriminant_times_weyl_invariants_are_invariants(system):
     rel = built_relation("gl", int(m), int(n))
     disc = discriminant_polynomial(rel)
     group = list(rel.weyl_group)
-    for d in (0, 1, 2):  # d = 0: T itself lies in the slice of C[V]^R of its degree
-        basis = invariant_space(rel, d + disc.degree)
+    slices = islice(invariant_slices(rel), disc.degree, None)
+    for d, basis in zip((0, 1, 2), slices):  # d = 0: T itself lies in the slice of its degree
         for g in weyl_invariant_space(group, d):
             assert contains_polynomial(basis, disc.polynomial * g, d + disc.degree)
 
@@ -169,10 +172,10 @@ def test_restriction_map_surjective_with_kernel_dims(gl21, gl22):
         disc = discriminant_polynomial(rel)
         reduced = rel.reduce(witness)
         group = list(rel.weyl_group)
-        for d in range(7):
+        slices = zip(range(7), invariant_slices(rel), invariant_slices(reduced))
+        for d, source, target in slices:
             m = restriction_map(rel, witness, d)
-            target_dim = len(invariant_space(reduced, d))
-            source_dim = len(invariant_space(rel, d))
+            target_dim, source_dim = len(target), len(source)
             assert m.rank() == target_dim
             kernel_dim = source_dim - target_dim
             expected = (
@@ -193,6 +196,38 @@ def test_separate_related_points(gl11):
     assert res.status == "equivalent"
 
 
+def test_separate_decides_related_points_by_membership_alone(gl22, monkeypatch):
+    kernels = []
+    nullspace = invariants._nullspace
+    monkeypatch.setattr(invariants, "_nullspace",
+                        lambda rows, k: kernels.append(k) or nullspace(rows, k))
+    assert separate(gl22, (1, 2, 3, 4), (2, 1, 3, 4), 6).status == "equivalent"
+    assert kernels == []
+
+
+# every related pair that `separate` is asked about in the CLI tests, the golden
+# reports and the demos; `separate` answers them by membership, so the agreement
+# of their invariants is checked here
+RELATED_PAIRS = [(system, *related) for system, (_, related) in sorted(POINTS.items())] + [
+    ("gl-2-2", "1,2,3,4", "2,1,3,4"),
+    ("gl-2-1", "0,1,0", "0,1,0"),
+    ("gl-1-1", "0,0", "4,-4"),
+    ("gl-1-1", "1,0", "1,0"),
+]
+
+
+def test_related_points_agree_on_every_invariant():
+    for system, x, y in RELATED_PAIRS:
+        _, m, n = system.split("-")
+        rel = built_relation("gl", int(m), int(n))
+        xv, yv = (tuple(Fraction(part) for part in p.split(",")) for p in (x, y))
+        assert rel.membership(xv, yv), (system, x, y)
+        for d, basis in enumerate(islice(invariant_slices(rel), 1, 7), start=1):
+            assert basis, (system, d)
+            for f in basis:
+                assert f.evaluate(xv) == f.evaluate(yv), (system, x, y, d)
+
+
 def test_separate_distinct_points(gl11):
     res = separate(gl11, (1, 0), (0, 1))
     assert res.status == "separated"
@@ -203,6 +238,9 @@ def test_separate_distinct_points(gl11):
     # first separator genuinely lives in degree 2
     (lin,) = invariant_space(gl11, 1)
     assert lin.evaluate((1, 0)) == lin.evaluate((0, 1))
+    # and it separates (1, 0) from the origin, in degree 1
+    res = separate(gl11, (1, 0), (0, 0), 1)
+    assert (res.status, res.degree, res.polynomial, res.values) == ("separated", 1, lin, (1, 0))
 
 
 def test_product_with_point_relation(gl11):
@@ -250,7 +288,7 @@ def test_polynomial_payload_round_trip():
 
 
 def test_graded_invariant_basis(gl11):
-    bases = [invariant_space(gl11, d) for d in range(5)]
+    bases = list(islice(invariant_slices(gl11), 5))
     assert [len(b) for b in bases] == [1, 1, 2, 3, 4]
     assert bases[0] == [Polynomial.one(2)]
     assert verify_invariants(gl11, [f for b in bases for f in b])
@@ -321,9 +359,9 @@ def test_generators_and_all_components_give_the_same_slices(name, m, n, max_degr
     every = LagrangianEquivalenceRelation(rel.form, rel.components)
     assert rel.generators or len(rel) == 1
     assert not every.generators
-    for d in range(max_degree + 1):
-        basis = invariant_space(rel, d)
-        assert basis == invariant_space(every, d), d
+    slices = zip(range(max_degree + 1), invariant_slices(rel), invariant_slices(every))
+    for d, basis, every_basis in slices:
+        assert basis == every_basis, d
         assert verify_invariants(rel, basis), d
 
 
@@ -335,11 +373,22 @@ def test_inverse_generator_adds_no_constraints(monkeypatch):
     rel = closure(form, [graph(cycle)])
     assert len(rel.generators) == 2
     every = LagrangianEquivalenceRelation(form, rel.components)
-    expected = [invariant_space(every, d) for d in range(1, 5)]
+    expected = list(islice(invariant_slices(every), 1, 5))
     kernels = []
     nullspace = invariants._nullspace
     monkeypatch.setattr(invariants, "_nullspace",
                         lambda rows, k: kernels.append(k) or nullspace(rows, k))
-    assert [invariant_space(rel, d) for d in range(1, 5)] == expected
+    assert list(islice(invariant_slices(rel), 1, 5)) == expected
     assert len(kernels) == 4  # one kernel per degree: the cycle's, not its inverse's
     assert [len(b) for b in expected] == [1, 2, 4, 5]  # cyclic orbits of monomials
+
+
+def test_sweep_expands_each_degree_once(monkeypatch):
+    # each degree's substitutions are built once, from the degree below, so a
+    # sweep to degree 7 on gl(3|2) lists few monomials (a per-degree rebuild lists 777)
+    rel = built_relation("gl", 3, 2)
+    calls = []
+    mons = invariants.monomials
+    monkeypatch.setattr(invariants, "monomials", lambda n, d: calls.append(d) or mons(n, d))
+    assert [len(b) for b in islice(invariant_slices(rel), 8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert len(calls) <= 228

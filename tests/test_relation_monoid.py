@@ -102,7 +102,7 @@ def test_weyl_group_is_the_group_of_the_generators():
 
 
 def test_generator_outside_the_components_is_rejected():
-    # a wrong generator list would give invariant_space a wrong slice
+    # a wrong generator list would give invariant_slices wrong slices
     form = BilinearForm.diagonal([1, 1, 1])
     s12 = graph(Isometry.reflection(form, (1, -1, 0)))
     s23 = graph(Isometry.reflection(form, (0, 1, -1)))
