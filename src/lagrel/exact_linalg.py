@@ -120,9 +120,7 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntRow, ...]:
             a = brow[c]
             if a:
                 p = prim[c]
-                reduced = _primitive([x * p - y * a for x, y in zip(brow, prim)])
-                assert reduced is not None
-                basis[i] = list(reduced)
+                basis[i] = list(_primitive([x * p - y * a for x, y in zip(brow, prim)]))
     return tuple(tuple(r) for r in basis)
 
 
@@ -147,7 +145,12 @@ def _unit_row(n: int, j: int) -> IntRow:
 
 
 def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
-    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
+    """Free-column basis of {x : M x = 0} for the matrix with the given rows.
+
+    One integer vector per non-pivot column j of _echelon(rows): nonzero at j,
+    zero at every other non-pivot column.  It is not canonical; callers that
+    need a canonical basis pass it through Subspace or _echelon.
+    """
     ech = _echelon(rows)
     pivots = [_pivot(r) for r in ech]
     pivset = set(pivots)
@@ -161,8 +164,8 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
         vec[j] = scale
         for r, c in hits:
             vec[c] = -r[j] * (scale // r[c])
-        out.append(vec)
-    return _echelon(out)
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +548,6 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
             u_rows.append(res)
     u_rows = _echelon(u_rows)
     q = len(u_rows)
-    assert q == v0.dim - v1.dim
     union = _echelon(u_rows + v1.rows)
     pivcols = {_pivot(r) for r in union}
     d_rows = [_unit_row(n, j) for j in range(n) if j not in pivcols]

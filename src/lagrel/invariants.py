@@ -86,8 +86,8 @@ class Polynomial:
         return cls(num_vars, {(0,) * num_vars: 1})
 
     @classmethod
-    def monomial(cls, num_vars: int, exponents: Sequence[int], coeff: Rational = 1) -> "Polynomial":
-        return cls(num_vars, {tuple(exponents): coeff})
+    def monomial(cls, num_vars: int, exponents: Sequence[int]) -> "Polynomial":
+        return cls(num_vars, {tuple(exponents): 1})
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Rational]) -> "Polynomial":
@@ -504,17 +504,14 @@ def _box_points(num_vars: int, radius: int) -> Iterable[Vector]:
     yield from rec([])
 
 
-def independent_evaluation_points(polys: Sequence[Polynomial],
-                                  points: Iterable[Vector] | None = None) -> list[Vector]:
-    """Points making the evaluation matrix of a linearly independent family invertible."""
+def independent_evaluation_points(polys: Sequence[Polynomial]) -> list[Vector]:
+    """First points of rational_point_stream making the evaluation matrix of an independent family invertible."""
     k = len(polys)
     if k == 0:
         return []
-    if points is None:
-        points = rational_point_stream(polys[0].num_vars)
     chosen: list[Vector] = []
     rows: list[list[Fraction]] = []
-    for pt in points:
+    for pt in rational_point_stream(polys[0].num_vars):
         cand = rows + [[f.evaluate(pt) for f in polys]]
         if len(_echelon(_int_rows(cand))) == len(cand):
             rows = cand

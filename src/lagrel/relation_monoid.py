@@ -331,11 +331,8 @@ class LagrangianEquivalenceRelation:
             out.append(rel)
         return out
 
-    def is_one_semiregular(self, decomposition: Sequence[Subspace] | None = None) -> bool:
-        """Splits orthogonally into 1-regular factors (supplied or discovered)."""
-        if decomposition is not None:
-            split = self.split_by_decomposition(list(decomposition))
-            return split is not None and all(r.is_one_regular()[0] for r in split)
+    def is_one_semiregular(self) -> bool:
+        """1-regular, or splits along find_semiregular_decomposition into 1-regular factors."""
         ok, _ = self.is_one_regular()
         if ok:
             return True

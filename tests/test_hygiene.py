@@ -1,6 +1,7 @@
-"""Static checks on the source: no unused imports in the package, tests or demos, no
-dead private helpers in the package, no dead helper functions in tests or demos, and a
-package `__all__` that matches what `__init__.py` imports.
+"""Static checks on the source: no unused imports or dead nested functions in the
+package, tests or demos, no dead private helpers and no `assert` statement in the
+package, no dead helper functions in tests or demos, and a package `__all__` that
+matches what `__init__.py` imports.
 
 Every check reads the files with the standard library's `ast` only, so they
 run without importing the package.
@@ -79,6 +80,26 @@ def test_every_private_function_is_referenced():
         if total[node.name] - _references(node)[node.name] <= 0
     ]
     assert dead == []
+
+
+def test_every_nested_function_is_referenced():
+    # a nested function counts as used when an enclosing function reads it outside its body
+    dead = [
+        f"{module}:{inner.lineno} {inner.name}"
+        for module, tree in {**MODULES, **SCRIPTS}.items() for outer in ast.walk(tree)
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _references(outer)[inner.name] - _references(inner)[inner.name] <= 0
+    ]
+    assert dead == []
+
+
+def test_no_assert_statement_in_the_package():
+    # `python -O` strips assert statements; a check that must run raises explicitly
+    asserts = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_every_test_helper_is_referenced():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _nullspace, solve_right
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _echelon, _nullspace, _pivot, solve_right
 from lagrel.linear_relations import Isometry
 
 try:
@@ -134,8 +134,13 @@ def test_nullspace_matches_sympy(case):
     assert Subspace(ncols, kernel) == Subspace.from_vectors(
         [[Fraction(int(x.p), int(x.q)) for x in v] for v in expected], ambient_dim=ncols
     )
-    # already canonical: re-reducing the rows changes nothing
-    assert Subspace(ncols, kernel).rows == kernel
+    # the free-column basis: one vector per non-pivot column j, nonzero at j and zero
+    # at every other non-pivot column
+    pivots = {_pivot(r) for r in _echelon(rows)}
+    free = [j for j in range(ncols) if j not in pivots]
+    assert len(kernel) == len(free)
+    for j, v in zip(free, kernel):
+        assert [v[c] != 0 for c in free] == [c == j for c in free]
 
 
 # ---------------------------------------------------------------------------

@@ -214,17 +214,18 @@ def test_semiregularity(gl11, gl21, gl22):
         assert rel.is_one_semiregular()
     prod = gl11.product(gl11)
     assert prod.is_semiregular()
-    # a user-supplied decomposition is verified rather than trusted
+    # a given decomposition is verified rather than trusted
     blocks = [
         Subspace.from_vectors([[1, 0, 0, 0], [0, 1, 0, 0]], ambient_dim=4),
         Subspace.from_vectors([[0, 0, 1, 0], [0, 0, 0, 1]], ambient_dim=4),
     ]
-    assert prod.is_one_semiregular(decomposition=blocks)
+    split = prod.split_by_decomposition(blocks)
+    assert split is not None and all(factor.is_one_regular()[0] for factor in split)
     wrong = [
         Subspace.from_vectors([[1, 0, 0, 0], [0, 0, 1, 0]], ambient_dim=4),
         Subspace.from_vectors([[0, 1, 0, 0], [0, 0, 0, 1]], ambient_dim=4),
     ]
-    assert not prod.is_one_semiregular(decomposition=wrong)
+    assert prod.split_by_decomposition(wrong) is None
 
 
 def test_atypicality_histogram(gl22):

@@ -95,7 +95,7 @@ def test_validation_catches_broken_symmetry():
     rs = RootSystem(BilinearForm.diagonal([1, -1]), [(1, -1)])
     report = rs.validate()
     assert not report.ok
-    assert any("symmetry" in f for f in report.failures)
+    assert report.failures[0] == "symmetry: -(1/1, -1/1) missing"  # "p/q" entries, as in reports
 
 
 def test_axiom_fuzzing_catalog():
@@ -210,6 +210,7 @@ def test_transport_isoset_with_base_vector():
     assert len(mx) == 2
     w = rs.transport_isoset(v, mx[0], mx[1])
     assert w.apply(v) == v
+    assert IsoSet([w.apply(p) for p in mx[0].pairs]) == mx[1]
 
 
 def test_transport_rejects_non_maximal():
