@@ -10,7 +10,7 @@ print("== catalog entries validate against the axioms ==")
 for name, m, n in (("gl", 2, 1), ("gl", 2, 2), ("osp", 3, 2), ("osp", 1, 2)):
     rs = catalog(name, m, n)
     print(f"{name}({m}|{n}): {len(rs.roots)} roots, "
-          f"{len(rs.iso_roots)} isotropic, Weyl order {len(rs.weyl_group())}, defect {rs.defect()}")
+          f"{len(rs.iso_roots)} isotropic, Weyl order {len(rs.weyl_group)}, defect {rs.defect()}")
 
 print("\n== broken systems are diagnosed ==")
 bad = RootSystem(BilinearForm.diagonal([1, -1]), [(1, -1), (-1, 1), (1, 0), (-1, 0)])

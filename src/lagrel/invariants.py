@@ -4,8 +4,9 @@ Because every component of a relation is a linear subspace of V x V, the
 invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 (possibly non-Noetherian) ring C[V]^R is computed one graded slice at a
 time by one lazy sweep, invariant_slices: the constraints of the relation's
-generators (of every component when it has none) are expanded symbolically
-over Q, one degree further per step, and intersected as exact nullspaces.
+generators (every non-diagonal component of one built without them) are
+expanded symbolically over Q, one degree further per step, and intersected
+as exact nullspaces.
 invariant_space(R, d) is the sweep's degree-d slice.  Generators suffice: an
 f constant on L1 and on L2 is constant on L1 o L2, through the middle point,
 and on the transpose, and closure() makes every component a word in the
@@ -39,7 +40,7 @@ from .exact_linalg import (
     rational,
     solve_right,
 )
-from .linear_relations import Isometry, diagonal, graph
+from .linear_relations import Isometry, graph
 from .relation_monoid import LagrangianEquivalenceRelation
 
 
@@ -232,9 +233,9 @@ def polynomial_from_payload(payload: dict, num_vars: int) -> Polynomial:
 # For one component L with basis rows (x_k | y_k), the points of L are
 # (X^T t, Y^T t), so f is constant on L-classes iff f(X^T t) - f(Y^T t)
 # vanishes identically in t.  The coefficients of that polynomial in t are
-# linear constraints on the coefficients of f.  The relation's generators (every
-# component when it has none; see the module docstring) contribute, and the
-# intersection of their nullspaces is computed incrementally.
+# linear constraints on the coefficients of f.  The relation's generators (see
+# the module docstring) contribute, and the intersection of their nullspaces is
+# computed incrementally.
 # ---------------------------------------------------------------------------
 
 
@@ -302,14 +303,12 @@ def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[P
     to degree D expands every generator once.
     """
     n = relation.n
-    unit_space = diagonal(relation.form).space
     constraints = []
-    for comp in relation.generators or relation.components:
-        if comp.space != unit_space:
-            d = comp.space.dim
-            m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
-            m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
-            constraints.append((d, _substitutions(m1), _substitutions(m2)))
+    for comp in relation.generators:
+        d = comp.space.dim
+        m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
+        m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
+        constraints.append((d, _substitutions(m1), _substitutions(m2)))
     for degree in count(0):
         mons = monomials(n, degree)
         basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))

@@ -34,6 +34,10 @@ from .exact_linalg import (
 )
 
 
+class ClosureBoundExceeded(RuntimeError):
+    """Raised when a closure walk (a relation's or a group's) outgrows its bound."""
+
+
 class Isometry:
     """Invertible linear map g with g^T G g = G, checked exactly in integers."""
 
@@ -104,13 +108,13 @@ class Isometry:
         return f"Isometry({self.matrix!r})"
 
 
-def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int = 1_000_000) -> tuple[Isometry, ...]:
+def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int) -> tuple[Isometry, ...]:
     """The group generated by isometries of form, sorted; the closure behind both Weyl groups.
 
     BFS over products s w, each element held as the integer matrix d g with d
     its least common denominator (canonical once the gcd of d and all entries
     is divided out).  Each distinct element is wrapped in a checked Isometry
-    exactly once.  Past max_order elements it raises RuntimeError.
+    exactly once.  Past max_order elements it raises ClosureBoundExceeded.
     """
     n = form.dim
     steps = sorted({(g.matrix.den, g.matrix.ints) for g in gens})
@@ -126,7 +130,7 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int 
             key = (d // g, tuple(tuple(x // g for x in row) for row in prod))
             if key not in group:
                 if len(group) >= max_order:
-                    raise RuntimeError("Weyl group generation exceeded its bound")
+                    raise ClosureBoundExceeded("Weyl group generation exceeded its bound")
                 group.add(key)
                 queue.append(key)
     isos = (Isometry(form, _matrix(d, m, n)) for d, m in group)

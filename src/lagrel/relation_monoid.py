@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact_linalg import (
     BilinearForm,
@@ -28,6 +28,7 @@ from .exact_linalg import (
     subspace_sum,
 )
 from .linear_relations import (
+    ClosureBoundExceeded,
     Isometry,
     LinearRelation,
     compose,
@@ -36,10 +37,6 @@ from .linear_relations import (
     inverse,
     isometry_of_graph,
 )
-
-
-class ClosureBoundExceeded(RuntimeError):
-    """Raised when a closure walk outgrows its component or depth bound."""
 
 
 # BFS depth bound of closure(): one infinite-order generator reaches it at about
@@ -54,8 +51,8 @@ class LagrangianEquivalenceRelation:
     The constructor deduplicates components by their canonical subspace,
     always includes the diagonal and rejects a generator that is not a
     component (invariant_slices takes its constraints from the generators);
-    closedness itself is the builder's job and can be audited with
-    verify_closed().
+    without generators, every non-diagonal component is one.  Closedness
+    itself is the builder's job and can be audited with verify_closed().
     """
 
     def __init__(self, form: BilinearForm, components: Iterable[LinearRelation],
@@ -69,11 +66,12 @@ class LagrangianEquivalenceRelation:
             if not comp.is_lagrangian:
                 raise ValueError("component is not Lagrangian")
             by_space[comp.space] = comp
-        self.generators = tuple(generators)
-        if any(g.space not in by_space for g in self.generators):
+        generators = tuple(generators)
+        if any(g.space not in by_space for g in generators):
             raise ValueError("generator is not a component of the relation")
         self.form = form
         self.components = tuple(sorted(by_space.values()))
+        self.generators = generators or tuple(c for c in self.components if c.space != unit.space)
         self._spaces = frozenset(by_space)
 
     @property
@@ -107,16 +105,16 @@ class LagrangianEquivalenceRelation:
 
         A composite is at least as atypical as each factor, so the atypicality-0
         components S of a closure are the words in its atypicality-0 generators T.
-        S must equal the group T generates (T = S when there are no generators);
-        len(S) bounds that group, so a T that generates more than S stops early.
+        S must equal the group T generates; len(S) bounds that group, so a T
+        that generates more than S stops early.
         """
-        isos = [isometry_of_graph(c) for c in self.components if c.atypicality == 0]
-        gens = [isometry_of_graph(g) for g in self.generators if g.atypicality == 0]
+        isos = {c.space: isometry_of_graph(c) for c in self.components if c.atypicality == 0}
+        gens = [isos[g.space] for g in self.generators if g.space in isos]
         try:
-            group = generate_group(self.form, gens if self.generators else isos, len(isos))
-        except RuntimeError:
+            group = generate_group(self.form, gens, len(isos))
+        except ClosureBoundExceeded:
             group = ()
-        if set(group) != set(isos):
+        if set(group) != set(isos.values()):
             raise AssertionError("atypicality-0 components are not closed under products")
         return group
 
@@ -236,23 +234,9 @@ class LagrangianEquivalenceRelation:
         sups = sorted(set(sups))
         if not sups:
             return [Subspace.full(self.n)]
-        parent = list(range(len(sups)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(sups)):
-            for j in range(i + 1, len(sups)):
-                if not _orthogonal_subspaces(self.form, sups[i], sups[j]):
-                    parent[find(i)] = find(j)
-        classes: dict[int, list[Subspace]] = {}
-        for i, s in enumerate(sups):
-            classes.setdefault(find(i), []).append(s)
+        classes = _linked_classes(sups, lambda a, b: not _orthogonal_subspaces(self.form, a, b))
         spans = sorted(
-            (_span_of(self.n, group) for group in classes.values()),
+            (_span_of(self.n, group) for group in classes),
             key=lambda s: (-s.dim, s.sort_key()),
         )
         kept: list[Subspace] = []
@@ -345,6 +329,30 @@ class LagrangianEquivalenceRelation:
     def is_semiregular(self) -> bool:
         """Every reduction by a special coisotropic is 1-semiregular."""
         return all(self.reduce(v0).is_one_semiregular() for v0 in self.special_coisotropics())
+
+
+def _linked_classes(items: Sequence, linked: Callable[[object, object], bool]) -> list[list]:
+    """Classes of the equivalence generated by linked(a, b) over pairs a before b.
+
+    A union-find; each class keeps the items' order, and the classes come in
+    the order of their first items.
+    """
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if linked(a, items[j]):
+                parent[find(i)] = find(j)
+    classes: dict[int, list] = {}
+    for i, item in enumerate(items):
+        classes.setdefault(find(i), []).append(item)
+    return list(classes.values())
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:

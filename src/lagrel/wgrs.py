@@ -41,6 +41,7 @@ from .linear_relations import (
 from .relation_monoid import (
     MAX_COMPONENTS,
     LagrangianEquivalenceRelation,
+    _linked_classes,
     closure,
 )
 
@@ -109,7 +110,6 @@ class RootSystem:
                 raise ValueError("roots must be nonzero")
         self.form = form
         self.roots = tuple(vecs)
-        self._weyl: tuple[Isometry, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -183,55 +183,33 @@ class RootSystem:
     def reflection(self, alpha: Sequence[Rational]) -> Isometry:
         return Isometry.reflection(self.form, alpha)
 
-    def weyl_group(self, max_order: int = 1_000_000) -> tuple[Isometry, ...]:
+    @cached_property
+    def weyl_group(self) -> tuple[Isometry, ...]:
         """W, closed from the anisotropic reflections by generate_group once per system.
 
-        A later call whose max_order is below |W| raises, as the build would.
+        The graphs of W are components of the system's relation, so W fits the
+        relation's default bound MAX_COMPONENTS; past it ClosureBoundExceeded
+        is raised.
         """
-        if self._weyl is None:
-            self.require_valid()
-            self._weyl = generate_group(self.form, map(self.reflection, self.aniso_pairs), max_order)
-        if len(self._weyl) > max_order:
-            raise RuntimeError("Weyl group generation exceeded its bound")
-        return self._weyl
+        self.require_valid()
+        return generate_group(self.form, map(self.reflection, self.aniso_pairs), MAX_COMPONENTS)
 
     @cached_property
     def _weyl_and_inverses(self) -> tuple[tuple[Isometry, Matrix], ...]:
-        """(w, w^-1) for each w in weyl_group(), in its order; built once per system."""
-        return tuple((w, w.matrix.inverse()) for w in self.weyl_group())
+        """(w, w^-1) for each w in weyl_group, in its order; built once per system."""
+        return tuple((w, w.matrix.inverse()) for w in self.weyl_group)
 
     # -- combinatorics ----------------------------------------------------------
 
     def indecomposable_components(self) -> tuple[tuple[Vector, ...], ...]:
         """Connected components of the non-orthogonality graph (each symmetric)."""
-        roots = list(self.roots)
-        index = {r: i for i, r in enumerate(roots)}
-        parent = list(range(len(roots)))
+        groups = _linked_classes(
+            self.roots, lambda a, b: self.form.pairing(a, b) != 0 or b == tuple(-x for x in a))
+        return tuple(sorted(tuple(sorted(g)) for g in groups))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            parent[find(i)] = find(j)
-
-        for i, a in enumerate(roots):
-            union(i, index[tuple(-x for x in a)])
-            for j in range(i + 1, len(roots)):
-                if self.form.pairing(a, roots[j]) != 0:
-                    union(i, j)
-        groups: dict[int, list[Vector]] = {}
-        for i, r in enumerate(roots):
-            groups.setdefault(find(i), []).append(r)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
+    @cached_property
     def iso_sets(self) -> tuple[IsoSet, ...]:
-        """All iso-sets, the empty one included."""
-        return self._iso_sets(self.iso_pairs)
-
-    def _iso_sets(self, pairs: Sequence[Vector]) -> tuple[IsoSet, ...]:
+        """All iso-sets, the empty one included, sorted; enumerated once per system."""
         out = []
 
         def extend(chosen: list[Vector], rest: list[Vector]):
@@ -240,33 +218,21 @@ class RootSystem:
                 nxt = [r for r in rest[i + 1:] if self.form.pairing(cand, r) == 0]
                 extend(chosen + [cand], nxt)
 
-        extend([], list(pairs))
+        extend([], list(self.iso_pairs))
         return tuple(sorted(set(out)))
 
-    def _orthogonal_iso_pairs(self, v: Sequence[Rational] | None) -> list[Vector]:
-        pairs = list(self.iso_pairs)
-        if v is not None:
-            vv = as_vector(v)
-            pairs = [p for p in pairs if self.form.pairing(p, vv) == 0]
-        return pairs
-
     def maximal_isosets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
-        """Inclusion-maximal iso-sets (orthogonal to v when given), by exhaustive search.
+        """The iso-sets orthogonal to v (all when v is None) that lie inside no other.
 
         Without v they must all have one cardinality; AssertionError is raised if not.
         """
         self.require_valid()
-        pairs_avail = self._orthogonal_iso_pairs(v)
-        candidates = self._iso_sets(pairs_avail)
-        maximal = []
-        for s in candidates:
-            extensible = any(
-                p not in s.pairs and all(self.form.pairing(p, q) == 0 for q in s.pairs)
-                for p in pairs_avail
-            )
-            if not extensible:
-                maximal.append(s)
-        maximal = tuple(sorted(maximal))
+        candidates = self.iso_sets
+        if v is not None:
+            vv = as_vector(v)
+            orth = {p for p in self.iso_pairs if self.form.pairing(p, vv) == 0}
+            candidates = [s for s in candidates if orth.issuperset(s.pairs)]
+        maximal = tuple(s for s in candidates if not any(s.roots < t.roots for t in candidates))
         if v is None and len({s.num_pairs for s in maximal}) > 1:
             raise AssertionError("maximal iso-sets of different cardinality")
         return maximal
@@ -403,7 +369,7 @@ class RootSystem:
         """Closure of the Weyl graphs and isotropic-translation idempotents.
 
         With check=True (`verify wgrs`) the components must be exactly the
-        {graph(w) o E_{S-perp}} over w in weyl_group() and iso-sets S.
+        {graph(w) o E_{S-perp}} over w in weyl_group and iso-sets S.
         """
         self.require_valid()
         rel = closure(self.form, self.relation_generators(), max_components)
@@ -413,10 +379,9 @@ class RootSystem:
 
     def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
         """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily."""
-        weyl = self.weyl_group()
-        for s in self.iso_sets():
+        for s in self.iso_sets:
             e = idempotent_relation(self.form, orth_complement(self.form, s.span_in(self.dim)))
-            for w in weyl:
+            for w in self.weyl_group:
                 yield w, s, compose(e, graph(w))
 
     def described_components(self) -> set[Subspace]:

@@ -303,6 +303,22 @@ from lagrel.linear_relations import Isometry
 Isometry.is_identity = lambda self: False
 print(suite_wgrs(0)["two_step_witness"])
 """, "(172, 16)\n"),
+    "inverse idempotent": ("""
+from lagrel.cli import suite_monoid
+from lagrel.exact_linalg import Subspace
+from lagrel.linear_relations import LinearRelation
+p2 = LinearRelation.p2.func
+LinearRelation.p2 = property(lambda self: Subspace(self.n, p2(self).rows[:-1]))
+print(suite_monoid(1, 50)["inverse_composition_idempotent"])
+""", "(0, 50)\n"),
+    "reduction square": ("""
+from lagrel.cli import suite_reduction
+from lagrel.wgrs import RootSystem
+reduce_by_root = RootSystem.reduce_by_root
+RootSystem.reduce_by_root = lambda self, alpha: RootSystem(
+    reduce_by_root(self, alpha).form, reduce_by_root(self, alpha).roots[1:])
+print(suite_reduction(0)["reduction_square"])
+""", "(3, 4)\n"),
     "reduction filters": ("""
 from lagrel import cli
 from lagrel import linear_relations as lr
@@ -331,6 +347,18 @@ def test_internal_checks_run_under_python_O(name):
         done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert (done.returncode, done.stdout) == (0, expected), (flags, done.stderr)
+
+
+def test_weyl_group_bound_exit_2(tmp_path, capsys, monkeypatch):
+    # |W| of gl(3|0) is 6, past a bound of 5
+    from lagrel import wgrs
+
+    path = tmp_path / "gl30.json"
+    code, _, _ = run(capsys, "wgrs", "build", "gl", "3", "0", "--out", str(path))
+    assert code == 0
+    monkeypatch.setattr(wgrs, "MAX_COMPONENTS", 5)
+    code, out, err = run(capsys, "wgrs", "classes", str(path), "--v", "1,0,0", "--vprime", "0,1,0")
+    assert (code, out, err) == (2, "", "error: Weyl group generation exceeded its bound\n")
 
 
 def test_invalid_root_system_file_exit_1(tmp_path, capsys):

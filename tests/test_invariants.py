@@ -38,7 +38,7 @@ from lagrel.invariants import (
     verify_invariants,
     weyl_invariant_space,
 )
-from lagrel.linear_relations import Isometry, graph
+from lagrel.linear_relations import Isometry, diagonal, graph
 from lagrel.relation_monoid import LagrangianEquivalenceRelation, closure
 from lagrel.wgrs import catalog, rootsystem_from_payload
 
@@ -97,8 +97,8 @@ def test_weyl_invariants_match_reynolds(gl21, gl22):
         "roots": [["2", "0"], ["-2", "0"], ["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]],
     })
     groups = [list(rel.weyl_group) for rel in (gl21, gl22)]
-    groups += [list(catalog(*entry).weyl_group()) for entry in (("gl", 3, 1), ("osp", 3, 2))]
-    groups.append(list(a2_skewed.weyl_group()))
+    groups += [list(catalog(*entry).weyl_group) for entry in (("gl", 3, 1), ("osp", 3, 2))]
+    groups.append(list(a2_skewed.weyl_group))
     assert len(groups[-1]) == 6 and any(w.matrix.den == 2 for w in groups[-1])
     for group in groups:
         for d in (1, 2, 3, 4):
@@ -358,7 +358,8 @@ def test_generators_and_all_components_give_the_same_slices(name, m, n, max_degr
     rel = built_relation(name, m, n)
     every = LagrangianEquivalenceRelation(rel.form, rel.components)
     assert rel.generators or len(rel) == 1
-    assert not every.generators
+    # built without generators, every non-diagonal component is one
+    assert set(every.generators) == set(rel.components) - {diagonal(rel.form)}
     slices = zip(range(max_degree + 1), invariant_slices(rel), invariant_slices(every))
     for d, basis, every_basis in slices:
         assert basis == every_basis, d

@@ -95,7 +95,7 @@ def test_weyl_group_is_the_group_of_the_generators():
     # all of S3 as components, but one transposition as the only generator
     form = BilinearForm.diagonal([1, 1, 1])
     s12 = Isometry.reflection(form, (1, -1, 0))
-    s3 = [graph(w) for w in generate_group(form, [s12, Isometry.reflection(form, (0, 1, -1))])]
+    s3 = [graph(w) for w in generate_group(form, [s12, Isometry.reflection(form, (0, 1, -1))], 6)]
     assert len(LagrangianEquivalenceRelation(form, s3).weyl_group) == 6
     with pytest.raises(AssertionError):
         LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).weyl_group

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lagrel.exact_linalg import BilinearForm, orth_complement
+from lagrel.linear_relations import ClosureBoundExceeded, Isometry, generate_group
 from lagrel.wgrs import (
     IsoSet,
     RootSystem,
@@ -45,7 +46,7 @@ def test_catalog_osp32():
     rs = catalog("osp", 3, 2)
     assert rs.validate().ok
     assert len(rs.iso_roots) == 4
-    assert len(rs.weyl_group()) == 4
+    assert len(rs.weyl_group) == 4
 
 
 def test_catalog_rejects_bad_parameters():
@@ -69,7 +70,7 @@ def test_flipped_form_degrades_to_anisotropic_pair():
     rs = RootSystem(BilinearForm.diagonal([1, 1]), [(1, -1), (-1, 1)])
     assert rs.validate().ok
     assert rs.iso_roots == ()
-    assert len(rs.weyl_group()) == 2
+    assert len(rs.weyl_group) == 2
 
 
 def test_validation_catches_reflection_escape():
@@ -119,7 +120,7 @@ def test_weyl_group_orders():
             if not 1 <= m + n <= 5:
                 continue
             rs = catalog("gl", m, n)
-            assert len(rs.weyl_group()) == math.factorial(m) * math.factorial(n)
+            assert len(rs.weyl_group) == math.factorial(m) * math.factorial(n)
 
 
 def test_indecomposable_components():
@@ -151,6 +152,30 @@ def test_maximal_isosets_gl22():
     mx = catalog("gl", 2, 2).maximal_isosets()
     assert len(mx) == 2
     assert all(s.num_pairs == 2 for s in mx)
+
+
+ISOSET_ENTRIES = [("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4] + [("osp", 3, 2)]
+
+
+@pytest.mark.parametrize("entry", ISOSET_ENTRIES)
+def test_maximal_isosets_contract(entry):
+    rs = catalog(*entry)
+    pairing = rs.form.pairing
+    rng = random.Random(0)
+    vectors = [(0,) * rs.dim, *rs.iso_pairs]
+    vectors += [tuple(rng.randint(-2, 2) for _ in range(rs.dim)) for _ in range(5)]
+    for v in vectors:
+        orth = {p for p in rs.iso_pairs if pairing(p, v) == 0}
+        mx = rs.maximal_isosets(v)
+        for s in mx:
+            # an iso-set of pairs orthogonal to v ...
+            assert set(s.pairs) <= orth
+            assert all(pairing(p, q) == 0 for p in s.pairs for q in s.pairs)
+            # ... that no further pair orthogonal to v extends
+            assert not any(p not in s.pairs and all(pairing(p, q) == 0 for q in s.pairs) for p in orth)
+        for t in rs.iso_sets:
+            if set(t.pairs) <= orth:
+                assert any(t.roots <= s.roots for s in mx), (v, t.pairs)
 
 
 def test_two_step_trivial_and_adjacent():
@@ -307,7 +332,7 @@ def test_non_integral_weyl_group_is_closed():
     # A2 under the form diag(1, 3): W = S3, with reflection entries -1/2
     rs = rootsystem_from_payload(A2_SKEWED)
     assert rs.validate().ok
-    weyl = rs.weyl_group()
+    weyl = rs.weyl_group
     assert len(weyl) == 6
     assert any(x.denominator != 1 for w in weyl for row in w.matrix.entries for x in row)
     matrices = {w.matrix for w in weyl}
@@ -315,22 +340,22 @@ def test_non_integral_weyl_group_is_closed():
         for t in weyl:
             assert s.matrix @ t.matrix in matrices
     rel = rs.build_relation(check=True)
-    assert rel.weyl_group == rs.weyl_group()
+    assert rel.weyl_group == rs.weyl_group
 
 
-def test_weyl_group_bound_before_and_after_a_full_build():
-    rs = catalog("gl", 3, 0)
-    with pytest.raises(RuntimeError, match="exceeded its bound"):
-        rs.weyl_group(max_order=5)
-    assert len(rs.weyl_group()) == 6
-    with pytest.raises(RuntimeError, match="exceeded its bound"):
-        rs.weyl_group(max_order=5)
-    assert len(rs.weyl_group(max_order=6)) == 6
+def test_generate_group_bound():
+    # S3 has 6 elements: a bound of 5 stops the walk, a bound of 6 does not
+    form = BilinearForm.diagonal([1, 1, 1])
+    gens = [Isometry.reflection(form, (1, -1, 0)), Isometry.reflection(form, (0, 1, -1))]
+    with pytest.raises(ClosureBoundExceeded, match="Weyl group generation exceeded its bound"):
+        generate_group(form, gens, 5)
+    assert len(generate_group(form, gens, 6)) == 6
 
 
 def test_weyl_group_is_built_once():
     rs = catalog("gl", 3, 1)
-    assert rs.weyl_group() is rs.weyl_group()
+    assert rs.weyl_group is rs.weyl_group
+    assert rs.iso_sets is rs.iso_sets
 
 
 def test_describe_component(gl21):
