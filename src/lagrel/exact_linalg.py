@@ -3,8 +3,11 @@
 Everything is computed over Q with one integer elimination kernel,
 `_echelon`, which keeps primitive-integer reduced-row-echelon rows.  Two
 equal subspaces therefore have identical (and identically hashable)
-representations, no matter how they were constructed.  Rank, nullspaces,
-intersections, inverses and linear solves all run through it.
+representations, no matter how they were constructed.  Rank, inverses and
+solves read it directly; intersections, composites and kernels read the rows
+of a stacked block's echelon that vanish on its first block
+(`_eliminate_prefix`).  Nullspaces serve only `orth_complement` and the
+invariant solver.
 
 A `Matrix` M is held as one integer matrix over one denominator: `den` > 0
 and `ints` = den*M, with gcd(den, all of ints) = 1, which makes the pair
@@ -67,20 +70,12 @@ def vector_to_payload(vec: Sequence[Rational]) -> list[str]:
 
 def _primitive(row: Sequence[int]) -> IntRow | None:
     """Divide out the content and normalize the sign; None for a zero row."""
-    g = 0
-    lead_negative = False
-    seen = False
-    for x in row:
-        if x:
-            if not seen:
-                seen = True
-                lead_negative = x < 0
-            g = gcd(g, x if x > 0 else -x)
-    if not seen:
+    g = gcd(*row)
+    if not g:
         return None
-    if lead_negative:
+    if next(filter(None, row)) < 0:
         g = -g
-    return tuple(x // g for x in row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _int_vector(vec: Sequence[Rational]) -> tuple[int, list[int]]:
@@ -97,35 +92,37 @@ def _int_rows(vectors: Iterable[Sequence[Rational]]) -> list[list[int]]:
 
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntRow, ...]:
     """Canonical reduced echelon basis (primitive rows) of the row space."""
-    basis: list[list[int]] = []
+    basis: list[IntRow] = []
     pivots: list[int] = []
     for raw in rows:
-        row = list(raw)
-        for i, c in enumerate(pivots):
+        row = tuple(raw)
+        for c, brow in zip(pivots, basis):
             a = row[c]
             if a:
-                p = basis[i][c]
-                brow = basis[i]
-                row = [x * p - y * a for x, y in zip(row, brow)]
+                p = brow[c]
+                row = tuple([x * p - y * a for x, y in zip(row, brow)])
         prim = _primitive(row)
         if prim is None:
             continue
-        c = next(j for j, x in enumerate(prim) if x)
+        c = _pivot(prim)
         pos = bisect(pivots, c)
         pivots.insert(pos, c)
-        basis.insert(pos, list(prim))
-        for i, brow in enumerate(basis):
-            if i == pos:
-                continue
+        basis.insert(pos, prim)
+        p = prim[c]
+        # the rows after pos have pivots right of c, hence zero at c
+        for i in range(pos):
+            brow = basis[i]
             a = brow[c]
             if a:
-                p = prim[c]
-                basis[i] = list(_primitive([x * p - y * a for x, y in zip(brow, prim)]))
-    return tuple(tuple(r) for r in basis)
+                basis[i] = _primitive(tuple([x * p - y * a for x, y in zip(brow, prim)]))
+    return tuple(basis)
 
 
 def _pivot(row: Sequence[int]) -> int:
-    return next(j for j, x in enumerate(row) if x)
+    j = 0
+    while not row[j]:
+        j += 1
+    return j
 
 
 def _residual(row: Sequence[int], basis: Sequence[IntRow]) -> IntRow | None:
@@ -138,6 +135,15 @@ def _residual(row: Sequence[int], basis: Sequence[IntRow]) -> IntRow | None:
             p = brow[c]
             out = [x * p - y * a for x, y in zip(out, brow)]
     return _primitive(out)
+
+
+def _eliminate_prefix(rows: Iterable[Sequence[int]], n: int) -> tuple[IntRow, ...]:
+    """Canonical basis of {v[n:] : v in the row space, v[:n] = 0}.
+
+    These are the echelon rows pivoting at or right of column n, with the
+    first n columns cut off: still primitive, reduced and in pivot order.
+    """
+    return tuple(row[n:] for row in _echelon(rows) if not any(row[:n]))
 
 
 def _unit_row(n: int, j: int) -> IntRow:
@@ -182,7 +188,7 @@ def _int_product(a: Sequence[IntRow], b: Sequence[IntRow], bcols: int) -> tuple[
 def _matrix(den: int, ints: Iterable[Sequence[int]], cols: int) -> "Matrix":
     """The Matrix ints/den, brought to lowest terms with den > 0."""
     ints = tuple(tuple(row) for row in ints)
-    g = gcd(den, *(x for row in ints for x in row))
+    g = gcd(den, *[gcd(*row) for row in ints])
     if den < 0:
         g = -g
     if g != 1:
@@ -420,16 +426,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus intersection: reduce [A|A; B|0] and read zero-left rows."""
+    """Zassenhaus intersection: the rows of [A|A; B|0] that vanish on the left block."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     if not a.rows or not b.rows:
         return Subspace.zero(n)
-    block = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
-    ech = _echelon(block)
-    inter = [row[n:] for row in ech if not any(row[:n])]
-    return Subspace(n, inter)
+    return Subspace(n, _eliminate_prefix([r + r for r in a.rows] + [r + (0,) * n for r in b.rows], n))
 
 
 def subspace_to_payload(s: Subspace) -> dict:

@@ -22,10 +22,10 @@ from .exact_linalg import (
     Rational,
     Subspace,
     Vector,
+    _eliminate_prefix,
     _int_product,
     _int_vector,
     _matrix,
-    _nullspace,
     as_vector,
     matrix_to_payload,
     orth_complement,
@@ -126,8 +126,8 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int)
         for ds, s in steps:
             prod = _int_product(s, w, n)
             d = ds * dw
-            g = gcd(d, *(x for row in prod for x in row))
-            key = (d // g, tuple(tuple(x // g for x in row) for row in prod))
+            g = gcd(d, *[gcd(*row) for row in prod])
+            key = (d, prod) if g == 1 else (d // g, tuple(tuple(x // g for x in row) for row in prod))
             if key not in group:
                 if len(group) >= max_order:
                     raise ClosureBoundExceeded("Weyl group generation exceeded its bound")
@@ -182,19 +182,15 @@ class LinearRelation:
 
     @cached_property
     def k2(self) -> Subspace:
-        """Ker(p2|L) = {(x, 0) in L}, as a subspace of V x V."""
-        # coefficient vectors s with s . (second half) = 0, pushed through the basis
+        """Ker(p2|L) = {(x, 0) in L}, as a subspace of V x V.
+
+        One `_echelon` of the rows (y | x), one per basis row (x, y) of L:
+        its rows that vanish on the y block span the x with (x, 0) in L.
+        """
         n = self.n
-        rows = self.space.rows
-        d = len(rows)
-        if d == 0:
-            return Subspace.zero(2 * n)
-        cols = [tuple(r[n + j] for r in rows) for j in range(n)]
-        coeffs = _nullspace(cols, d)
-        kern_rows = []
-        for s in coeffs:
-            kern_rows.append(tuple(sum(s[i] * rows[i][j] for i in range(d)) for j in range(2 * n)))
-        return Subspace(2 * n, kern_rows)
+        zero = (0,) * n
+        xs = _eliminate_prefix((r[n:] + r[:n] for r in self.space.rows), n)
+        return Subspace(2 * n, (x + zero for x in xs))
 
     @cached_property
     def is_isotropic(self) -> bool:
@@ -269,28 +265,21 @@ def inverse(rel: LinearRelation) -> LinearRelation:
 def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     """The relation (second o first) = {(x, z) : (x,y) in first, (y,z) in second}.
 
-    Computed as the image of the fiber product over the middle factor:
-    coefficient pairs (s, t) with s.A2 = t.B1 give rows (s.A1 | t.B2).
+    One `_echelon` of the stacked block with a row (y | x | 0) per basis row
+    (x, y) of first and a row (-y | 0 | z) per basis row (y, z) of second.
+    Its row space holds (s.A2 - t.B1 | s.A1 | t.B2) for all coefficients s, t
+    over the bases' halves, so its vectors that vanish on the middle block
+    are the composite.  The middle block comes first, so the echelon rows
+    zero on it are those pivoting right of it; cut off, they are already the
+    composite's canonical rows (`_eliminate_prefix`).
     """
     if first.form != second.form:
         raise ValueError("relations live over different forms")
     n = first.n
-    a = first.space.rows
-    b = second.space.rows
-    da, db = len(a), len(b)
-    # rows of K^T: one per middle coordinate, columns indexed by (s, t)
-    kt = [
-        tuple(a[i][n + j] for i in range(da)) + tuple(-b[i][j] for i in range(db))
-        for j in range(n)
-    ]
-    coeffs = _nullspace(kt, da + db)
-    out = []
-    for st in coeffs:
-        s, t = st[:da], st[da:]
-        left = tuple(sum(s[i] * a[i][j] for i in range(da)) for j in range(n))
-        right = tuple(sum(t[i] * b[i][n + j] for i in range(db)) for j in range(n))
-        out.append(left + right)
-    return LinearRelation(first.form, Subspace(2 * n, out))
+    zero = (0,) * n
+    block = [r[n:] + r[:n] + zero for r in first.space.rows]
+    block += [tuple(-y for y in r[:n]) + zero + r[n:] for r in second.space.rows]
+    return LinearRelation(first.form, Subspace(2 * n, _eliminate_prefix(block, n)))
 
 
 def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRelation:

@@ -1,7 +1,8 @@
 """The integer matrix representation and elimination kernel against independent oracles.
 
 `Matrix` holds integers over one denominator, and `Matrix.inverse`,
-`solve_right` and `_nullspace` all read their answers off `_echelon`.  Two
+`solve_right`, `_nullspace`, `subspace_intersect`, `compose` and
+`LinearRelation.k2` all read their answers off `_echelon`.  Two
 oracles compute the same objects by independent code: plain `Fraction`
 loops written out below, and sympy's exact linear algebra.  Any
 disagreement (including which error a singular, rank-deficient or
@@ -17,8 +18,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _echelon, _nullspace, _pivot, solve_right
-from lagrel.linear_relations import Isometry
+from lagrel.exact_linalg import (
+    BilinearForm,
+    Matrix,
+    Subspace,
+    _echelon,
+    _eliminate_prefix,
+    _nullspace,
+    _pivot,
+    _primitive,
+    solve_right,
+    subspace_intersect,
+)
+from lagrel.linear_relations import Isometry, LinearRelation, compose, suite_form
 
 try:
     import sympy
@@ -298,3 +310,138 @@ def test_one_matrix_reached_by_different_routes(diag, ints, scale):
         assert m == r and hash(m) == hash(r)
         assert (m.den, m.ints) == (r.den, r.ints)
     assert r @ r == Matrix.identity(n)
+
+
+# ---------------------------------------------------------------------------
+# Composites, kernels and intersections against Fraction fiber products.
+#
+# `compose`, `LinearRelation.k2` and `subspace_intersect` each read their
+# answer off one `_echelon` of a stacked block (`_eliminate_prefix`).  The
+# oracles below solve for the coefficients instead, by Fraction Gauss-Jordan
+# on the spanning rows as drawn, and push them through the other block.
+# ---------------------------------------------------------------------------
+
+
+def ref_nullspace(rows, width):
+    """A Fraction basis of {v : M v = 0} for the matrix M with the given rows."""
+    reduced, pivots = ref_reduce([[Fraction(x) for x in r] for r in rows], width)
+    basis = []
+    for j in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[j] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][j]
+        basis.append(v)
+    return basis
+
+
+def ref_combine(coeffs, rows, width):
+    """The combination sum_i coeffs[i] rows[i], of the given width."""
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
+
+
+small = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def relation_rows(draw, n: int):
+    """Spanning rows (x | y) of a relation on Q^n: random, dim 0, full, or with a rank-deficient half."""
+    shape = draw(st.sampled_from(("random", "zero", "full", "x-only", "y-only", "coupled")))
+    if shape == "zero":
+        return []
+    if shape == "full":
+        return [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    rows = [[draw(small) for _ in range(2 * n)] for _ in range(draw(st.integers(min_value=1, max_value=2 * n)))]
+    for row in rows:
+        if shape == "x-only":
+            row[n:] = [0] * n
+        elif shape == "y-only":
+            row[:n] = [0] * n
+        elif shape == "coupled":
+            row[n:] = [row[0]] * n  # a y half of rank at most 1
+    return rows
+
+
+def relation(n: int, rows) -> LinearRelation:
+    return LinearRelation(suite_form(n), Subspace(2 * n, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), relation_rows(n), relation_rows(n))))
+def test_compose_matches_fiber_product(case):
+    n, a, b = case
+    # (s, t) with s.A2 = t.B1: the nullspace of the n x (da + db) matrix [A2; -B1]^T
+    middle = ref_transpose([r[n:] for r in a] + [[-y for y in r[:n]] for r in b], n)
+    image = []
+    for coeffs in ref_nullspace(middle, len(a) + len(b)):
+        s, t = coeffs[:len(a)], coeffs[len(a):]
+        image.append(ref_combine(s, [r[:n] for r in a], n) + ref_combine(t, [r[n:] for r in b], n))
+    assert compose(relation(n, a), relation(n, b)).space == Subspace.from_vectors(image, ambient_dim=2 * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(st.just(n), relation_rows(n))))
+def test_k2_is_the_kernel_of_the_second_projection(case):
+    n, rows = case
+    # {(x, 0) in L}: coefficients s with s.Y = 0, pushed through X
+    coeffs = ref_nullspace(ref_transpose([r[n:] for r in rows], n), len(rows))
+    kernel = [ref_combine(s, [r[:n] for r in rows], n) + [Fraction(0)] * n for s in coeffs]
+    assert relation(n, rows).k2 == Subspace.from_vectors(kernel, ambient_dim=2 * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=0, max_value=4).flatmap(
+                lambda m: st.lists(st.lists(small, min_size=n + m, max_size=n + m), max_size=5)),
+        )
+    )
+)
+def test_eliminate_prefix_is_the_part_vanishing_on_the_prefix(case):
+    n, rows = case
+    width = len(rows[0]) if rows else n
+    out = _eliminate_prefix(rows, n)
+    # {v[n:] : v in the row space, v[:n] = 0}, from the coefficients that kill the prefix
+    coeffs = ref_nullspace(ref_transpose([r[:n] for r in rows], n), len(rows))
+    tails = [ref_combine(s, [r[n:] for r in rows], width - n) for s in coeffs]
+    assert Subspace(width - n, out) == Subspace.from_vectors(tails, ambient_dim=width - n)
+    assert _echelon(out) == out  # already canonical, with no second pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), *(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n)
+                                      for _ in range(2)))))
+def test_subspace_intersect_matches_annihilators(case):
+    # v lies in A and in B iff every annihilator of A or of B kills it
+    n, a, b = case
+    annihilators = ref_nullspace(a, n) + ref_nullspace(b, n)
+    expected = Subspace.from_vectors(ref_nullspace(annihilators, n), ambient_dim=n)
+    assert subspace_intersect(Subspace(n, a), Subspace(n, b)) == expected
+    assert Subspace(n, _eliminate_prefix([r + r for r in a] + [r + [0] * n for r in b], n)) == expected
+
+
+def test_primitive_edge_rows():
+    assert _primitive(()) is None
+    assert _primitive((0, 0, 0)) is None
+    assert _primitive((0, -4, 6, 0)) == (0, 2, -3, 0)
+    assert _primitive((-1, 2)) == (1, -2)
+    row = (0, 3, -2, 5)
+    assert _primitive(row) is row  # content 1 and a positive lead: the row itself
+    assert _primitive([0, 3, -2, 5]) == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small, max_size=6), st.integers(min_value=-6, max_value=6).filter(bool))
+def test_primitive_divides_out_the_signed_content(row, k):
+    prim = _primitive([k * x for x in row])
+    if not any(row):
+        assert prim is None
+        return
+    assert gcd(*prim) == 1 and next(x for x in prim if x) > 0
+    assert prim == _primitive(row) == _primitive([-x for x in row])
+    scale = Fraction(next(x for x in row if x), next(x for x in prim if x))
+    assert [Fraction(x) for x in row] == [scale * x for x in prim]
