@@ -110,6 +110,8 @@ def _report_header(raw: bytes) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if (args.x is None) != (args.y is None):
+        raise ValueError("--x and --y must be given together")
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
     ok_1reg, witness = rel.is_one_regular()
@@ -126,7 +128,7 @@ def cmd_analyze(args) -> int:
             "invariant_dimensions": [len(b) for b in islice(invariant_slices(rel), args.degree + 1)],
         }
     )
-    if args.x is not None and args.y is not None:
+    if args.x is not None:
         x = _parse_vector(args.x)
         y = _parse_vector(args.y)
         report["separation"] = _separation_payload(separate(rel, x, y, args.dmax))
@@ -240,6 +242,8 @@ def cmd_wgrs_reduce(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
     iso = rs.iso_roots
+    if not iso:
+        raise ValueError("the root system has no isotropic roots to reduce by")
     if not 0 <= args.root < len(iso):
         raise ValueError(f"--root must index the isotropic root list (0..{len(iso) - 1})")
     reduced = rs.reduce_by_root(iso[args.root])

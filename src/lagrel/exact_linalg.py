@@ -551,8 +551,8 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
             u_rows.append(res)
     u_rows = _echelon(u_rows)
     q = len(u_rows)
-    union = _echelon(u_rows + v1.rows)
-    pivcols = {_pivot(r) for r in union}
+    # U + V1 = V0, so V0's own echelon rows give the pivot columns of the union
+    pivcols = {_pivot(r) for r in v0.rows}
     d_rows = [_unit_row(n, j) for j in range(n) if j not in pivcols]
     f_rows = list(u_rows) + list(v1.rows) + d_rows
     inv = _matrix(1, zip(*f_rows), n).inverse()

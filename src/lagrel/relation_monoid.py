@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .exact_linalg import (
@@ -154,18 +155,16 @@ class LagrangianEquivalenceRelation:
     # -- reduction ----------------------------------------------------------
 
     def components_inside(self, v0: Subspace) -> tuple[LinearRelation, ...]:
-        """The components contained in V0 x V0: the ones reduce(v0) keeps."""
-        zero = (0,) * self.n
-        box = Subspace(2 * self.n, [r + zero for r in v0.rows] + [zero + r for r in v0.rows])
-        return tuple(c for c in self.components if box.contains(c.space))
+        """The components in V0 x V0, i.e. with p1(L) and p2(L) in V0: the ones reduce(v0) keeps."""
+        return tuple(c for c in self.components if v0.contains(c.p1) and v0.contains(c.p2))
 
     def reduce(self, v0: Subspace) -> "LagrangianEquivalenceRelation":
-        """Induced relation on V0/V1 for a special coisotropic V0.
+        """Induced relation on V0/V1 for a special coisotropic V0 (some p1(L)).
 
         Maps components_inside(v0) to V0/V1; `verify reduction` checks that they
         are the components L with E o L o E = L (`reduction_filters`).
         """
-        if v0 not in self.special_coisotropics():
+        if v0 not in {c.p1 for c in self.components}:
             raise ValueError("subspace is not special coisotropic for this relation")
         n = self.n
         q = quotient(self.form, v0)
@@ -219,73 +218,49 @@ class LagrangianEquivalenceRelation:
         return Subspace(n, rows)
 
     def find_semiregular_decomposition(self) -> list[Subspace] | None:
-        """Heuristic orthogonal decomposition candidate from component supports.
+        """Orthogonal decomposition candidate from the minimal component supports.
 
-        Supports are grouped by non-orthogonality; class spans contained in the
-        span of the other classes are redundant and dropped; degenerate class
-        spans are grown to nondegenerate subspaces by adjoining dual partners.
+        Minimal supports (containing no other nonzero support) are grouped by
+        non-orthogonality; each class span is grown to a nondegenerate subspace
+        orthogonal to the other spans and earlier factors, and the orthogonal
+        complement of the grown factors completes them.  The support of a
+        product component L1 x L2 contains those of L1 x id and id x L2, so it is
+        not minimal and cannot merge two blocks: no redundant span needs dropping.
         The result is only a candidate: split_by_decomposition decides.
         """
-        sups = []
-        for comp in self.components:
-            s = self.component_support(comp)
-            if s.dim:
-                sups.append(s)
-        sups = sorted(set(sups))
-        if not sups:
-            return [Subspace.full(self.n)]
-        classes = _linked_classes(sups, lambda a, b: not _orthogonal_subspaces(self.form, a, b))
-        spans = sorted(
-            (_span_of(self.n, group) for group in classes),
-            key=lambda s: (-s.dim, s.sort_key()),
-        )
-        kept: list[Subspace] = []
-        for i, span in enumerate(spans):
-            others = kept + spans[i + 1:]
-            rest = _span_of(self.n, others)
-            if not (span.dim and rest.contains(span)):
-                kept.append(span)
-        kept.sort()
+        sups = sorted({s for s in map(self.component_support, self.components) if s.dim})
+        minimal = [s for s in sups if not any(t != s and s.contains(t) for t in sups)]
+        classes = _linked_classes(minimal, lambda a, b: not _orthogonal_subspaces(self.form, a, b))
+        spans = sorted(_span_of(self.n, group) for group in classes)
         factors: list[Subspace] = []
-        for i, span in enumerate(kept):
-            avoid = [s for j, s in enumerate(kept) if j != i] + factors
-            grown = _nondegenerate_growth(self.form, span, avoid)
+        for i, span in enumerate(spans):
+            grown = _nondegenerate_growth(self.form, span, spans[:i] + spans[i + 1:] + factors)
             if grown is None:
                 return None
             factors.append(grown)
-        total = _span_of(self.n, factors)
-        rest = orth_complement(self.form, total)
-        if rest.dim:
-            if len(_echelon(_gram_rows(self.form, rest))) != rest.dim:
-                return None
-            factors.append(rest)
-        if sum(f.dim for f in factors) != self.n:
-            return None
-        return sorted(factors)
+        # the factors are pairwise orthogonal and nondegenerate, so is their complement
+        rest = orth_complement(self.form, _span_of(self.n, factors))
+        return sorted(factors + [rest] if rest.dim else factors)
 
     def split_by_decomposition(self, factors: Sequence[Subspace]) -> list["LagrangianEquivalenceRelation"] | None:
-        """Factor relations if every component splits along the decomposition."""
+        """Factor relations if every component splits along the decomposition, else None.
+
+        V must be the direct sum of the factors, which must be pairwise
+        orthogonal, and each component the sum of its pieces in the blocks.  The
+        pieces are then Lagrangian, and each factor relation is closed because
+        composition and inverse act blockwise.
+        """
         n = self.n
-        if sum(f.dim for f in factors) != n:
+        stacked = [r for f in factors for r in f.rows]
+        if len(stacked) != n or len(_echelon(stacked)) != n:
             return None
-        stacked = []
-        for f in factors:
-            stacked.extend(f.rows)
-        if len(_echelon(stacked)) != n:
+        if not all(_orthogonal_subspaces(self.form, a, b)
+                   for i, a in enumerate(factors) for b in factors[i + 1:]):
             return None
         t = _matrix(1, stacked, n)
         gram_new = t @ self.form.gram @ t.transpose()
-        offsets = []
-        pos = 0
-        for f in factors:
-            offsets.append((pos, pos + f.dim))
-            pos += f.dim
-        for i, (a0, a1) in enumerate(offsets):
-            for j, (b0, b1) in enumerate(offsets):
-                if i != j and any(
-                    gram_new.ints[r][c] for r in range(a0, a1) for c in range(b0, b1)
-                ):
-                    return None
+        ends = list(accumulate(f.dim for f in factors))
+        offsets = list(zip([0] + ends[:-1], ends))
         coord = t.transpose().inverse()
         forms = [
             BilinearForm(_matrix(gram_new.den, (row[b0:b1] for row in gram_new.ints[b0:b1]), b1 - b0))
@@ -294,26 +269,15 @@ class LagrangianEquivalenceRelation:
         factor_comps: list[dict] = [dict() for _ in factors]
         for comp in self.components:
             moved = Subspace(2 * n, _map_halves(comp.space.rows, n, coord))
-            pieces = []
-            for (b0, b1) in offsets:
-                proj_rows = [r[b0:b1] + r[n + b0 : n + b1] for r in moved.rows]
-                width = b1 - b0
-                pieces.append(Subspace(2 * width, proj_rows))
+            pieces = [Subspace(2 * (b1 - b0), [r[b0:b1] + r[n + b0:n + b1] for r in moved.rows])
+                      for (b0, b1) in offsets]
             # moved lies in the direct sum of its block projections: equal iff dims agree
             if sum(piece.dim for piece in pieces) != moved.dim:
                 return None
             for idx, piece in enumerate(pieces):
-                rel = LinearRelation(forms[idx], piece)
-                if not rel.is_lagrangian:
-                    return None
-                factor_comps[idx][piece] = rel
-        out = []
-        for idx in range(len(factors)):
-            rel = LagrangianEquivalenceRelation(forms[idx], factor_comps[idx].values())
-            if not rel.verify_closed():
-                return None
-            out.append(rel)
-        return out
+                factor_comps[idx][piece] = LinearRelation(forms[idx], piece)
+        return [LagrangianEquivalenceRelation(form, comps.values())
+                for form, comps in zip(forms, factor_comps)]
 
     def is_one_semiregular(self) -> bool:
         """1-regular, or splits along find_semiregular_decomposition into 1-regular factors."""
@@ -380,10 +344,6 @@ def _span_of(n: int, parts: Iterable[Subspace]) -> Subspace:
     for p in parts:
         rows.extend(p.rows)
     return Subspace(n, rows)
-
-
-def _gram_rows(form: BilinearForm, s: Subspace) -> list[tuple[int, ...]]:
-    return [tuple(form.int_pairing(r, r2) for r2 in s.rows) for r in s.rows]
 
 
 def _nondegenerate_growth(form: BilinearForm, span: Subspace, avoid: Sequence[Subspace]) -> Subspace | None:

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from lagrel import catalog
 from lagrel.cli import main
+from lagrel.exact_linalg import matrix_to_payload
 
 
 def run(capsys, *argv):
@@ -65,6 +67,28 @@ def test_analyze_empty_generators_is_diagonal(tmp_path, capsys):
     report = json.loads(out)
     assert report["num_components"] == 1
     assert report["invariant_dimensions"] == [1, 2, 3]
+
+
+def test_analyze_product_generators_file_is_semiregular(tmp_path, capsys):
+    # gl(1|1) x gl(2|1): two 1-regular factors, hence semiregular
+    prod = catalog("gl", 1, 1).build_relation().product(catalog("gl", 2, 1).build_relation())
+    path = tmp_path / "gl11xgl21.json"
+    path.write_text(json.dumps({
+        "form": matrix_to_payload(prod.form.gram),
+        "generators": [{"space": matrix_to_payload(c.space.basis)} for c in prod.components],
+    }))
+    code, out, _ = run(capsys, "analyze", str(path), "--degree", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["num_components"], report["one_regular"]) == (12, False)
+    assert report["semiregular"] is True
+
+
+def test_analyze_needs_both_points_exit_1(tmp_path, capsys):
+    path = str(build_gl11(tmp_path, capsys))
+    for flag in ("--x", "--y"):
+        code, out, err = run(capsys, "analyze", path, flag, "1,0")
+        assert (code, out, err) == (1, "", "error: --x and --y must be given together\n")
 
 
 def test_analyze_malformed_json_exit_1(tmp_path, capsys):
@@ -167,6 +191,15 @@ def test_wgrs_reduce_bad_index_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "wgrs", "reduce", str(path), "--root", "7")
     assert code == 1
     assert "isotropic" in err
+
+
+def test_wgrs_reduce_without_isotropic_roots_exit_1(tmp_path, capsys):
+    path = tmp_path / "gl20.json"
+    code, _, _ = run(capsys, "wgrs", "build", "gl", "2", "0", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "wgrs", "reduce", str(path), "--root", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: the root system has no isotropic roots to reduce by\n"
 
 
 def test_wgrs_classes_command(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from lagrel.linear_relations import (
 from lagrel.relation_monoid import (
     ClosureBoundExceeded,
     LagrangianEquivalenceRelation,
+    _map_halves,
     closure,
 )
 from lagrel import catalog
@@ -237,3 +239,84 @@ def test_atypicality_histogram(gl22):
 def test_relation_contains_diagonal_always():
     rel = LagrangianEquivalenceRelation(GL11, [gl11_idempotent()])
     assert diagonal(GL11) in rel
+
+
+def product_of(*entries):
+    rel = built_relation(*entries[0])
+    for entry in entries[1:]:
+        rel = rel.product(built_relation(*entry))
+    return rel
+
+
+def rebased(rel, seed):
+    """rel in the coordinates x' = T x for a seeded random rational T: Gram T^-T G T^-1."""
+    rng = random.Random(seed)
+    n = rel.n
+    while True:
+        t = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if t.rank() == n:
+            break
+    t_inv = t.inverse()
+    form = BilinearForm(t_inv.transpose() @ rel.form.gram @ t_inv)
+    comps = [LinearRelation(form, Subspace(2 * n, _map_halves(c.space.rows, n, t))) for c in rel.components]
+    return LagrangianEquivalenceRelation(form, comps)
+
+
+# a product of 1-regular relations is 1-semiregular by definition; each one was
+# reported not semiregular while supports of product components joined blocks
+PRODUCTS = {
+    "gl11 x gl21": (("gl", 1, 1), ("gl", 2, 1)),
+    "gl21 x gl11": (("gl", 2, 1), ("gl", 1, 1)),
+    "gl11 x gl12": (("gl", 1, 1), ("gl", 1, 2)),
+    "gl11 x osp32": (("gl", 1, 1), ("osp", 3, 2)),
+    "gl21 x gl21": (("gl", 2, 1), ("gl", 2, 1)),
+    "gl11 x gl11 x gl21": (("gl", 1, 1), ("gl", 1, 1), ("gl", 2, 1)),
+}
+REBASED = {"gl11 x gl21 rebased": ("gl11 x gl21", 1), "gl11 x osp32 rebased": ("gl11 x osp32", 2)}
+
+
+def semiregularity_case(name):
+    if name in REBASED:
+        base, seed = REBASED[name]
+        return rebased(product_of(*PRODUCTS[base]), seed)
+    return product_of(*PRODUCTS[name])
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS) + list(REBASED))
+def test_products_of_catalog_relations_are_semiregular(name):
+    rel = semiregularity_case(name)
+    assert not rel.is_one_regular()[0]
+    assert rel.is_one_semiregular()
+    assert rel.is_semiregular()
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS) + list(REBASED))
+def test_decomposition_factors_are_orthogonal_nondegenerate_and_split_closed(name):
+    rel = semiregularity_case(name)
+    form = rel.form
+    factors = rel.find_semiregular_decomposition()
+    assert factors is not None
+    assert sum(f.dim for f in factors) == rel.n
+    for i, a in enumerate(factors):
+        gram = Matrix([[form.pairing(u, v) for v in a.rows] for u in a.rows])
+        assert gram.rank() == a.dim
+        for b in factors[i + 1:]:
+            assert all(form.pairing(u, v) == 0 for u in a.rows for v in b.rows)
+    split = rel.split_by_decomposition(factors)
+    assert split is not None and len(split) == len(factors)
+    assert all(factor.verify_closed() for factor in split)
+    assert all(factor.is_one_regular()[0] for factor in split)
+
+
+def inside_box(rel, v0):
+    """The components contained in the 2n-dimensional box V0 x V0."""
+    zero = (0,) * rel.n
+    box = Subspace(2 * rel.n, [r + zero for r in v0.rows] + [zero + r for r in v0.rows])
+    return tuple(c for c in rel.components if box.contains(c.space))
+
+
+@pytest.mark.parametrize("entries", [(("gl", 2, 2),), (("osp", 3, 2),), (("gl", 1, 1), ("gl", 1, 1))])
+def test_components_inside_is_the_box_definition(entries):
+    rel = product_of(*entries)
+    for v0 in rel.special_coisotropics():
+        assert rel.components_inside(v0) == inside_box(rel, v0)
