@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from lagrel import catalog
 from lagrel.cli import main
 from lagrel.exact_linalg import matrix_to_payload
+
+from conftest import built_relation
 
 
 def run(capsys, *argv):
@@ -71,7 +72,7 @@ def test_analyze_empty_generators_is_diagonal(tmp_path, capsys):
 
 def test_analyze_product_generators_file_is_semiregular(tmp_path, capsys):
     # gl(1|1) x gl(2|1): two 1-regular factors, hence semiregular
-    prod = catalog("gl", 1, 1).build_relation().product(catalog("gl", 2, 1).build_relation())
+    prod = built_relation("gl", 1, 1).product(built_relation("gl", 2, 1))
     path = tmp_path / "gl11xgl21.json"
     path.write_text(json.dumps({
         "form": matrix_to_payload(prod.form.gram),
