@@ -502,7 +502,10 @@ def main(argv=None) -> int:
     except ClosureBoundExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:  # str(KeyError("gram")) is "'gram'"
+        sys.stderr.write(f"error: missing key {exc}\n")
+        return 1
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

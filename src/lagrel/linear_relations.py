@@ -12,7 +12,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -109,7 +109,7 @@ class Isometry:
 
 
 def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int) -> tuple[Isometry, ...]:
-    """The group generated by isometries of form, sorted; the closure behind both Weyl groups.
+    """The group generated by isometries of form, sorted; RootSystem.weyl_group's closure.
 
     BFS over products s w, each element held as the integer matrix d g with d
     its least common denominator (canonical once the gcd of d and all entries
@@ -315,14 +315,14 @@ def classify_idempotent(rel: LinearRelation) -> Subspace:
 
 
 def isometry_of_graph(rel: LinearRelation) -> Isometry:
-    """Extract g from a relation that is the graph of an isometry."""
+    """Read g off its graph: p1 = V, so canonical row i is (d_i e_i | d_i g e_i)."""
     if not rel.is_lagrangian or rel.atypicality != 0:
         raise ValueError("relation is not the graph of an isometry")
     n = rel.n
-    a1 = _matrix(1, (r[:n] for r in rel.space.rows), n)
-    a2 = _matrix(1, (r[n:] for r in rel.space.rows), n)
-    st = solve_right(a1, a2)
-    return Isometry(rel.form, st.transpose())
+    rows = rel.space.rows
+    den = lcm(*(r[i] for i, r in enumerate(rows)))
+    gt = _matrix(den, (tuple(x * (den // r[i]) for x in r[n:]) for i, r in enumerate(rows)), n)
+    return Isometry(rel.form, gt.transpose())
 
 
 def canonical_data(rel: LinearRelation) -> tuple[Subspace, Subspace, Matrix]:

@@ -3,8 +3,8 @@
 A relation R is stored as the deduplicated set of its Lagrangian components,
 each a canonical subspace of V x V.  Closure is a breadth-first walk over
 words in the generators (the word set of an inverse-closed generating family
-is automatically closed under composition and inverse), with a hard component
-bound as the only termination guarantee.
+is automatically closed under composition and inverse), stopped by a hard
+bound on the components and one on the BFS depth (MAX_ROUNDS).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .linear_relations import (
     LinearRelation,
     compose,
     diagonal,
-    generate_group,
     inverse,
     isometry_of_graph,
 )
@@ -52,8 +51,9 @@ class LagrangianEquivalenceRelation:
     The constructor deduplicates components by their canonical subspace,
     always includes the diagonal and rejects a generator that is not a
     component (invariant_slices takes its constraints from the generators);
-    without generators, every non-diagonal component is one.  Closedness
-    itself is the builder's job and can be audited with verify_closed().
+    without generators, every non-diagonal component is one.  Closedness, and
+    that the generators generate every component, are the builder's job; both
+    are audited in one place, verify_closed().
     """
 
     def __init__(self, form: BilinearForm, components: Iterable[LinearRelation],
@@ -102,22 +102,13 @@ class LagrangianEquivalenceRelation:
 
     @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
-        """The group of atypicality-0 components, as isometries of V.
+        """W: the atypicality-0 components, as isometries of V, sorted.
 
-        A composite is at least as atypical as each factor, so the atypicality-0
-        components S of a closure are the words in its atypicality-0 generators T.
-        S must equal the group T generates; len(S) bounds that group, so a T
-        that generates more than S stops early.
+        In a closed component set the invertible components form a group, so W
+        is read off the components; verify_closed() audits the closedness.
         """
-        isos = {c.space: isometry_of_graph(c) for c in self.components if c.atypicality == 0}
-        gens = [isos[g.space] for g in self.generators if g.space in isos]
-        try:
-            group = generate_group(self.form, gens, len(isos))
-        except ClosureBoundExceeded:
-            group = ()
-        if set(group) != set(isos.values()):
-            raise AssertionError("atypicality-0 components are not closed under products")
-        return group
+        isos = (isometry_of_graph(c) for c in self.components if c.atypicality == 0)
+        return tuple(sorted(isos, key=lambda s: s.sort_key()))
 
     def atypicality_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(c.atypicality for c in self.components).items()))
@@ -145,18 +136,22 @@ class LagrangianEquivalenceRelation:
         return any(c.space.contains_vector(pair) for c in self.components)
 
     def verify_closed(self) -> bool:
-        """Audit closure under inverse and under composition of every pair."""
-        for c in self.components:
-            if inverse(c).space not in self._spaces:
-                return False
-        comps = self.components
-        return all(compose(a, b).space in self._spaces for a in comps for b in comps)
+        """Audit closure under inverse and under composition of every pair, then
+        that the generators generate every component (weyl_group and
+        invariant_slices rely on both)."""
+        comps, spaces = self.components, self._spaces
+        closed = (all(inverse(c).space in spaces for c in comps)
+                  and all(compose(a, b).space in spaces for a in comps for b in comps))
+        # reached only when closed, so the closure of the generators stays inside the set
+        return closed and closure(self.form, self.generators) == self
 
     # -- reduction ----------------------------------------------------------
 
     def components_inside(self, v0: Subspace) -> tuple[LinearRelation, ...]:
-        """The components in V0 x V0, i.e. with p1(L) and p2(L) in V0: the ones reduce(v0) keeps."""
-        return tuple(c for c in self.components if v0.contains(c.p1) and v0.contains(c.p2))
+        """The components with p1(L) and p2(L) in V0 (each distinct one tested once): the ones reduce(v0) keeps."""
+        projections = {c.p1 for c in self.components} | {c.p2 for c in self.components}
+        inside = {u for u in projections if v0.contains(u)}
+        return tuple(c for c in self.components if c.p1 in inside and c.p2 in inside)
 
     def reduce(self, v0: Subspace) -> "LagrangianEquivalenceRelation":
         """Induced relation on V0/V1 for a special coisotropic V0 (some p1(L)).
@@ -379,7 +374,8 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
     Enumerates all words in the inverse-closed generator family breadth
     first; the word set is closed under composition and inverse by
     construction.  Fails loudly when max_components or MAX_ROUNDS is hit,
-    which is the signal for a (possibly) infinite closure.
+    which is the signal for a (possibly) infinite closure.  The walk starts
+    from the diagonal alone, so the component bound counts it and the generators.
     """
     if max_components <= 0:
         raise ValueError("closure bounds must be positive")
@@ -397,10 +393,6 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
                 gens.append(cand)
     pool = {unit.space: unit}
     queue: deque[tuple[LinearRelation, int]] = deque([(unit, 0)])
-    for g in gens:
-        if g.space not in pool:
-            pool[g.space] = g
-            queue.append((g, 1))
     while queue:
         rel, depth = queue.popleft()
         if depth >= MAX_ROUNDS:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lagrel.cli import main
+from lagrel.cli import _build_parser, main
 from lagrel.exact_linalg import matrix_to_payload
 
 from conftest import built_relation
@@ -361,15 +363,15 @@ print(cli.suite_reduction(0)["reduction_filters"])
 """, "(3, 9)\n"),
     "relation weyl group": ("""
 from lagrel.exact_linalg import BilinearForm
-from lagrel.linear_relations import Isometry, graph
+from lagrel.linear_relations import Isometry, generate_group, graph
 from lagrel.relation_monoid import LagrangianEquivalenceRelation
 form = BilinearForm.diagonal([1, 1, 1])
-s12, s23 = (graph(Isometry.reflection(form, r)) for r in ((1, -1, 0), (0, 1, -1)))
-try:
-    LagrangianEquivalenceRelation(form, [s12, s23]).weyl_group
-except AssertionError as exc:
-    print(exc)
-""", "atypicality-0 components are not closed under products\n"),
+s12, s23 = (Isometry.reflection(form, r) for r in ((1, -1, 0), (0, 1, -1)))
+s3 = [graph(w) for w in generate_group(form, [s12, s23], 6)]
+print(LagrangianEquivalenceRelation(form, [graph(s12), graph(s23)]).verify_closed(),
+      LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).verify_closed(),
+      LagrangianEquivalenceRelation(form, s3).verify_closed())
+""", "False False True\n"),
 }
 
 
@@ -393,6 +395,41 @@ def test_weyl_group_bound_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(wgrs, "MAX_COMPONENTS", 5)
     code, out, err = run(capsys, "wgrs", "classes", str(path), "--v", "1,0,0", "--vprime", "0,1,0")
     assert (code, out, err) == (2, "", "error: Weyl group generation exceeded its bound\n")
+
+
+def test_closure_bound_counts_the_generators_exit_2(tmp_path, capsys):
+    # the diagonal alone fills a bound of 1, so the idempotent E breaks it
+    path = build_gl11(tmp_path, capsys)
+    code, out, err = run(capsys, "wgrs", "relation", str(path), "--max-components", "1")
+    assert (code, out, err) == (2, "", "error: closure exceeded 1 components; the closure may be infinite\n")
+
+
+def test_missing_json_key_is_named_exit_1(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"form": [["1/1", "0/1"], ["0/1", "-1/1"]], "generators": [{}]}))
+    # a generators file is no root system, and its generator has no "space"
+    for argv, key in ((("wgrs", "relation"), "gram"), (("analyze",), "space")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (1, "", f"error: missing key '{key}'\n")
+
+
+def _long_options(parser):
+    """{command: its "--" options} for every leaf command of parser, e.g. "wgrs build"."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update({f"{name} {k}".strip(): v for k, v in _long_options(sub).items()})
+            return out
+    return {"": {o for a in parser._actions for o in a.option_strings if o.startswith("--") and o != "--help"}}
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Each command takes exactly these options")[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = {cmd.strip().strip("`"): set(re.findall(r"`(--[a-z-]+)`", opts)) for cmd, opts in rows}
+    assert documented == _long_options(_build_parser())
 
 
 def test_invalid_root_system_file_exit_1(tmp_path, capsys):

@@ -10,7 +10,10 @@ relations that `verify monoid` draws, and one more the stdout of the fixed
 gl(2|2) and gl(3|2), recorded before the slice solver switched to the
 closure's generators.  Three more pin the `discriminant` reports of gl(2|2)
 and gl(3|2) and the `wgrs relation` report of gl(4|1), recorded before those
-commands stopped re-deriving results they had already computed.
+commands stopped re-deriving results they had already computed.  Two more
+pin `analyze --degree 4` on generator files (the README's gl(1|1) example
+and the gl(1|1) x gl(2|1) product), recorded before the relation's Weyl
+group was read off its components.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ import json
 import pytest
 
 from lagrel.cli import main
+from lagrel.exact_linalg import matrix_to_payload
 from lagrel.linear_relations import random_pairs, relation_to_payload
+
+from conftest import built_relation
 
 # system -> (unrelated pair, related pair), as comma-separated rationals
 POINTS = {
@@ -87,6 +93,8 @@ GOLDEN = {
     "gl-2-2 discriminant": "bd91df6777e1839c917dae83b42c304935cc671591177979459d31a667870d78",
     "gl-3-2 discriminant": "61a90e53000387c8e6ab59e6a3abaea84b7bd54596043c9ff7f886605024dd08",
     "gl-4-1 wgrs relation": "64a8d760872a1fca625781cae291e8d6d74a9eb86b036ce305529b3a5c85f709",
+    "readme gl-1-1 analyze": "499ee95f6ad93401f2ea6c85edece32c3bd5777110bbe4566ffc9206c2cc0c95",
+    "gl-1-1 x gl-2-1 analyze": "3482404e57e14f6217822334af651bfb7938eb58020e413220273c7ed1634608",
 }
 
 # reports on larger systems: invariant slices of degree 6 to 8, then commands
@@ -145,6 +153,28 @@ def test_slice_report_bytes(tmp_path):
         k = 2 if argv[0] == "wgrs" else 1
         out = tmp_path / "report.json"
         assert main(argv[:k] + [str(path)] + argv[k:] + ["--out", str(out)]) == 0, name
+        if _sha256(out) != GOLDEN[name]:
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_generator_file_report_bytes(tmp_path):
+    prod = built_relation("gl", 1, 1).product(built_relation("gl", 2, 1))
+    files = {
+        "readme gl-1-1 analyze": {
+            "form": [["1/1", "0/1"], ["0/1", "-1/1"]],
+            "generators": [{"space": [["1/1", "-1/1", "0/1", "0/1"], ["0/1", "0/1", "1/1", "-1/1"]]}],
+        },
+        "gl-1-1 x gl-2-1 analyze": {
+            "form": matrix_to_payload(prod.form.gram),
+            "generators": [{"space": matrix_to_payload(c.space.basis)} for c in prod.components],
+        },
+    }
+    mismatched = []
+    for name, payload in files.items():
+        path, out = tmp_path / "generators.json", tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path), "--degree", "4", "--out", str(out)]) == 0, name
         if _sha256(out) != GOLDEN[name]:
             mismatched.append(name)
     assert mismatched == []

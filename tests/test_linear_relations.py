@@ -106,6 +106,19 @@ def test_graph_composition_is_matrix_product():
     assert isometry_of_graph(graph(s)) == s
 
 
+def test_isometry_is_read_off_its_graph():
+    # the graph's canonical rows carry one denominator per row when g has fractions
+    rng = random.Random(17)
+    fractional = 0
+    for dim in range(1, 6):
+        form = suite_form(dim)
+        for _ in range(8):
+            g = random_isometry(form, rng)
+            assert isometry_of_graph(graph(g)) == g
+            fractional += g.matrix.den != 1
+    assert fractional >= 20
+
+
 def test_inverse_is_involution():
     rng = random.Random(6)
     form = suite_form(4)

@@ -77,30 +77,37 @@ def test_closure_bound_exceeded_on_infinite_group():
         closure(form, [graph(boost)], max_components=64)
 
 
+def test_closure_bound_counts_the_diagonal_and_the_generators():
+    # the diagonal alone fills a bound of 1, so adding E breaks it
+    with pytest.raises(ClosureBoundExceeded, match="closure exceeded 1 components"):
+        closure(GL11, [gl11_idempotent()], 1)
+    assert len(closure(GL11, [gl11_idempotent()], 2)) == 2
+
+
 def test_closure_rejects_a_non_positive_bound():
     for bound in (0, -1):
         with pytest.raises(ValueError, match="closure bounds must be positive"):
             closure(GL11, [], bound)
 
 
-def test_non_group_component_set_fails_the_weyl_check():
+def test_non_group_component_set_fails_verify_closed():
     # two transpositions of S3 without their products
     form = BilinearForm.diagonal([1, 1, 1])
     s12 = Isometry.reflection(form, (1, -1, 0))
     s23 = Isometry.reflection(form, (0, 1, -1))
     rel = LagrangianEquivalenceRelation(form, [graph(s12), graph(s23)])
-    with pytest.raises(AssertionError):
-        rel.weyl_group
+    assert not rel.verify_closed()
 
 
-def test_weyl_group_is_the_group_of_the_generators():
+def test_generators_that_miss_a_component_fail_verify_closed():
     # all of S3 as components, but one transposition as the only generator
     form = BilinearForm.diagonal([1, 1, 1])
     s12 = Isometry.reflection(form, (1, -1, 0))
     s3 = [graph(w) for w in generate_group(form, [s12, Isometry.reflection(form, (0, 1, -1))], 6)]
-    assert len(LagrangianEquivalenceRelation(form, s3).weyl_group) == 6
-    with pytest.raises(AssertionError):
-        LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).weyl_group
+    rel = LagrangianEquivalenceRelation(form, s3)
+    assert rel.verify_closed()
+    assert len(rel.weyl_group) == 6
+    assert not LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)]).verify_closed()
 
 
 def test_generator_outside_the_components_is_rejected():

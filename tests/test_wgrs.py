@@ -343,6 +343,16 @@ def test_non_integral_weyl_group_is_closed():
     assert rel.weyl_group == rs.weyl_group
 
 
+GL_UP_TO_4 = [("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
+
+
+@pytest.mark.parametrize("entry", GL_UP_TO_4 + [("osp", 3, 2)], ids=lambda e: "-".join(map(str, e)))
+def test_relation_weyl_group_is_the_root_system_weyl_group(entry):
+    # the relation reads W off its components; the root system closes its reflections
+    rs = catalog(*entry)
+    assert rs.build_relation().weyl_group == rs.weyl_group
+
+
 def test_generate_group_bound():
     # S3 has 6 elements: a bound of 5 stops the walk, a bound of 6 does not
     form = BilinearForm.diagonal([1, 1, 1])
