@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import islice
+from itertools import islice, starmap
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -54,6 +54,7 @@ from .linear_relations import (
 from .relation_monoid import (
     MAX_COMPONENTS,
     ClosureBoundExceeded,
+    LagrangianEquivalenceRelation,
     closure,
 )
 from .wgrs import (
@@ -315,12 +316,11 @@ def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
                   for check in monoid_checks(form, a, b)[1].items())
 
 
-def wgrs_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
-    """(name, ok) per check of `verify wgrs` on rs.  Each check runs inside the call it
-    names: build_relation(check=True), maximal_isosets(), and two_step_witness on every
-    ordered pair of isotropic roots; ok means that the call returned a true value
-    without raising."""
-    yield "component_description", _holds(lambda: rs.build_relation(check=True))
+def wgrs_checks(rs: RootSystem, rel: LagrangianEquivalenceRelation) -> Iterator[tuple[str, bool]]:
+    """(name, ok) per check of `verify wgrs` on rs and rel = rs.build_relation().  Each check
+    runs inside the call it names: rs.describes(rel), maximal_isosets(), and two_step_witness
+    on every ordered pair of isotropic roots; ok means that it returned a true value without raising."""
+    yield "component_description", _holds(rs.describes, rel)
     yield "isoset_cardinality", _holds(rs.maximal_isosets)
     for beta in rs.iso_roots:
         for beta_p in rs.iso_roots:
@@ -331,7 +331,7 @@ def suite_wgrs(seed: int) -> dict[str, tuple[int, int]]:
     """Catalog closures match the graph/iso-set description; witnesses verify."""
     entries = [("gl", m, n) for m in range(0, 4) for n in range(0, 4) if 1 <= m + n <= 4]
     entries.append(("osp", 3, 2))
-    return _tally(check for entry in entries for check in wgrs_checks(catalog(*entry)))
+    return _tally(check for rs in starmap(catalog, entries) for check in wgrs_checks(rs, rs.build_relation()))
 
 
 def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
@@ -358,11 +358,10 @@ def suite_invariants(seed: int) -> dict[str, tuple[int, int]]:
     return _tally(checks)
 
 
-def reduction_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
-    """(name, ok) per check of `verify reduction` on rs: reduce(V0) keeps the components
-    with E_V0 o L o E_V0 = L, per special coisotropic V0; its relation is semiregular;
-    reducing by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
-    rel = rs.build_relation()
+def reduction_checks(rs: RootSystem, rel: LagrangianEquivalenceRelation) -> Iterator[tuple[str, bool]]:
+    """(name, ok) per check of `verify reduction` on rs and rel = rs.build_relation(): reduce(V0)
+    keeps the components with E_V0 o L o E_V0 = L, per special coisotropic V0; rel is
+    semiregular; reducing by alpha-perp gives the relation of rs.reduce_by_root(alpha), per iso pair."""
     for v0 in rel.special_coisotropics():
         e = idempotent_relation(rs.form, v0)
         fixed = {c.space for c in rel.components if compose(compose(e, c), e).space == c.space}
@@ -375,8 +374,8 @@ def reduction_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
 
 def suite_reduction(seed: int) -> dict[str, tuple[int, int]]:
     """Root-system reduction commutes with relation reduction on the catalog."""
-    return _tally(check for m, n in ((1, 1), (2, 1), (2, 2))
-                  for check in reduction_checks(catalog("gl", m, n)))
+    entries = (("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2))
+    return _tally(check for rs in starmap(catalog, entries) for check in reduction_checks(rs, rs.build_relation()))
 
 
 def suite_product(seed: int) -> dict[str, tuple[int, int]]:

@@ -410,10 +410,10 @@ class DiscriminantPolynomial:
 def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> DiscriminantPolynomial:
     """Product of the linear forms cutting the W-orbit of discriminant hyperplanes.
 
-    That it lies in C[V]^R, hence in C[V]^W, is a test on catalog entries, not a step here.
+    An empty discriminant gives T = 1, of degree 0.  That T lies in C[V]^R,
+    hence in C[V]^W, is a test on catalog entries, not a step here.
     """
-    ok, witness = relation.is_one_regular()
-    if not ok or witness is None:
+    if not relation.is_one_regular()[0]:
         raise ValueError("relation is not 1-regular with a codimension-1 witness")
     n = relation.n
     t = Polynomial.one(n)

@@ -4,7 +4,9 @@ A root system here is a finite symmetric set of nonzero rational vectors with
 integrality under reflections in anisotropic roots and the plus-or-minus
 shift axiom for isotropic ones.  The induced relation is generated by the
 Weyl reflections together with the translation idempotents E_{alpha-perp}
-for isotropic alpha.
+for isotropic alpha.  A closure starts from fewer of them: the simple
+reflections and one E_{alpha-perp} per W-orbit of isotropic pairs, which
+give the same relation, hence the same invariants.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -143,30 +146,34 @@ class RootSystem:
     # -- axioms ---------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """The axioms; each failure names its roots as "(p/q, ...)" tuples."""
-        failures = []
-        rootset = set(self.roots)
-        fmt = {r: "(" + ", ".join(vector_to_payload(r)) + ")" for r in self.roots}
-        for a in self.roots:
-            if tuple(-x for x in a) not in rootset:
-                failures.append(f"symmetry: -{fmt[a]} missing")
-        for a in self.aniso_roots:
-            norm = self.form.pairing(a, a)
-            for b in self.roots:
-                k = 2 * self.form.pairing(a, b) / norm
-                if k.denominator != 1:
-                    failures.append(f"integrality: k({fmt[a]},{fmt[b]}) = {k} not integral")
-                    continue
-                refl = tuple(x - k * y for x, y in zip(b, a))
-                if refl not in rootset:
-                    failures.append(f"reflection: s_{fmt[a]}({fmt[b]}) leaves the root set")
-        for a in self.iso_roots:
-            for b in self.roots:
-                if self.form.pairing(a, b) != 0:
-                    up = tuple(x + y for x, y in zip(b, a))
-                    down = tuple(x - y for x, y in zip(b, a))
-                    if up not in rootset and down not in rootset:
-                        failures.append(f"shift: neither {fmt[b]}+-{fmt[a]} is a root")
+        """The axioms, paired in integers on the roots times their common denominator.
+
+        Each failure names its roots as "(p/q, ...)" tuples, formatted only for a failure.
+        """
+        scale = lcm(*(x.denominator for r in self.roots for x in r))
+        ints = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in self.roots]
+        rootset = set(ints)
+        pair = self.form.int_pairing
+        norms = [pair(a, a) for a in ints]
+
+        def fmt(i: int) -> str:
+            return "(" + ", ".join(vector_to_payload(self.roots[i])) + ")"
+
+        failures = [f"symmetry: -{fmt(i)} missing"
+                    for i, a in enumerate(ints) if tuple(-x for x in a) not in rootset]
+        for i in sorted(range(len(ints)), key=lambda i: norms[i] == 0):  # anisotropic roots are checked first
+            for j, b in enumerate(ints):
+                ab = pair(ints[i], b)
+                if norms[i]:
+                    k, rem = divmod(2 * ab, norms[i])
+                    if rem:
+                        k = Fraction(2 * ab, norms[i])
+                        failures.append(f"integrality: k({fmt(i)},{fmt(j)}) = {k} not integral")
+                    elif tuple(y - k * x for x, y in zip(ints[i], b)) not in rootset:
+                        failures.append(f"reflection: s_{fmt(i)}({fmt(j)}) leaves the root set")
+                elif ab and not rootset.intersection({tuple(y + x for x, y in zip(ints[i], b)),
+                                                      tuple(y - x for x, y in zip(ints[i], b))}):
+                    failures.append(f"shift: neither {fmt(j)}+-{fmt(i)} is a root")
         return ValidationReport(not failures, tuple(failures))
 
     @cached_property
@@ -184,15 +191,25 @@ class RootSystem:
         return Isometry.reflection(self.form, alpha)
 
     @cached_property
+    def simple_reflections(self) -> tuple[Isometry, ...]:
+        """Reflections in the simple roots: the positive (lexicographically, as for the
+        generic functional (M^(n-1), ..., M, 1)) anisotropic roots that are not a sum of
+        two positive ones.  By integrality the anisotropic roots form a crystallographic
+        root system (a W-invariant inner product gives the same k), so these generate W."""
+        self.require_valid()
+        pos = self.aniso_pairs
+        sums = {tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(pos) for b in pos[i:]}
+        return tuple(self.reflection(a) for a in pos if a not in sums)
+
+    @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
-        """W, closed from the anisotropic reflections by generate_group once per system.
+        """W, closed from the simple reflections by generate_group once per system.
 
         The graphs of W are components of the system's relation, so W fits the
         relation's default bound MAX_COMPONENTS; past it ClosureBoundExceeded
         is raised.
         """
-        self.require_valid()
-        return generate_group(self.form, map(self.reflection, self.aniso_pairs), MAX_COMPONENTS)
+        return generate_group(self.form, self.simple_reflections, MAX_COMPONENTS)
 
     @cached_property
     def _weyl_and_inverses(self) -> tuple[tuple[Isometry, Matrix], ...]:
@@ -349,33 +366,37 @@ class RootSystem:
     # -- the induced equivalence relation -------------------------------------------
 
     def relation_generators(self) -> list[LinearRelation]:
-        gens: list[LinearRelation] = []
-        seen = set()
-        for a in self.aniso_pairs:
-            g = graph(self.reflection(a))
-            if g.space not in seen:
-                seen.add(g.space)
-                gens.append(g)
+        """Graphs of the simple reflections, then E_{alpha-perp} for the first pair alpha of
+        each W-orbit in iso_pairs, walked under the simple reflections.  Their closure holds
+        every reflection and, as graph(w) o E_{alpha-perp} o graph(w)^-1 = E_{(w alpha)-perp},
+        every isotropic idempotent."""
+        simple = self.simple_reflections
+        gens = [graph(s) for s in simple]
+        seen: set[Vector] = set()
         for a in self.iso_pairs:
-            v0 = orth_complement(self.form, Subspace.from_vectors([a]))
-            e = idempotent_relation(self.form, v0)
-            if e.space not in seen:
-                seen.add(e.space)
-                gens.append(e)
+            if a not in seen:
+                gens.append(idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors([a]))))
+                seen.add(a)
+                stack = [a]
+                while stack:
+                    b = stack.pop()
+                    new = {_orient(s.apply(b)) for s in simple} - seen
+                    seen |= new
+                    stack += new
         return gens
 
     def build_relation(self, max_components: int = MAX_COMPONENTS,
                        check: bool = False) -> LagrangianEquivalenceRelation:
-        """Closure of the Weyl graphs and isotropic-translation idempotents.
-
-        With check=True (`verify wgrs`) the components must be exactly the
-        {graph(w) o E_{S-perp}} over w in weyl_group and iso-sets S.
-        """
+        """Closure of relation_generators(); with check=True, AssertionError unless describes() it."""
         self.require_valid()
         rel = closure(self.form, self.relation_generators(), max_components)
-        if check and {c.space for c in rel.components} != self.described_components():
+        if check and not self.describes(rel):
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
+
+    def describes(self, rel: LagrangianEquivalenceRelation) -> bool:
+        """Whether rel's components are exactly the graph(w) o E_{S-perp} over w in W and iso-sets S."""
+        return {c.space for c in rel.components} == self.described_components()
 
     def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
         """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily."""

@@ -159,6 +159,34 @@ def test_discriminant_command(tmp_path, capsys):
     assert report["polynomial"] == {"0,1": "1/1", "1,0": "1/1"}
 
 
+def test_discriminant_of_an_empty_discriminant_is_one(tmp_path, capsys):
+    # gl(3|0) has no isotropic roots: analyze reports it 1-regular with an empty
+    # discriminant, and discriminant reports T = 1 of degree 0
+    path = tmp_path / "gl30.json"
+    assert run(capsys, "wgrs", "build", "gl", "3", "0", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "analyze", str(path), "--degree", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["one_regular"], report["discriminant"]) == (True, [])
+    code, out, err = run(capsys, "discriminant", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["degree"], report["hyperplanes"]) == (0, [])
+    assert report["polynomial"] == {"0,0,0": "1/1"}
+
+
+def test_discriminant_of_a_relation_that_is_not_one_regular_exit_1(tmp_path, capsys):
+    # gl(1|1) x gl(1|1): two orbits of discriminant hyperplanes
+    prod = built_relation("gl", 1, 1).product(built_relation("gl", 1, 1))
+    path = tmp_path / "gl11xgl11.json"
+    path.write_text(json.dumps({
+        "form": matrix_to_payload(prod.form.gram),
+        "generators": [{"space": matrix_to_payload(c.space.basis)} for c in prod.components],
+    }))
+    code, out, err = run(capsys, "discriminant", str(path))
+    assert (code, out, err) == (1, "", "error: relation is not 1-regular with a codimension-1 witness\n")
+
+
 def test_wgrs_validate_command(tmp_path, capsys):
     path = build_gl11(tmp_path, capsys)
     code, out, _ = run(capsys, "wgrs", "validate", str(path))

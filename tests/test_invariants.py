@@ -160,6 +160,14 @@ def test_discriminant_requires_one_regular(gl11):
         discriminant_polynomial(prod)
 
 
+@pytest.mark.parametrize("entry", [("gl", 3, 0), ("gl", 1, 0), ("osp", 1, 2)])
+def test_empty_discriminant_gives_one(entry):
+    rel = built_relation(*entry)
+    assert rel.is_one_regular() == (True, None)
+    disc = discriminant_polynomial(rel)
+    assert (disc.polynomial, disc.degree, disc.hyperplanes) == (Polynomial.one(rel.n), 0, ())
+
+
 def test_restriction_map_degree_zero_is_identity(gl21):
     ok, witness = gl21.is_one_regular()
     m = restriction_map(gl21, witness, 0)
@@ -345,7 +353,8 @@ def test_restriction_map_empty_source_and_target_shapes(gl11):
 
 
 # catalog entry and highest degree: the slices from a closure's generators
-# against the slices from all of its components
+# (the simple reflections and one idempotent per isotropic W-orbit) against
+# the slices from all of its components
 SLICE_PATHS = [
     ("gl", 1, 0, 6), ("gl", 1, 1, 6), ("gl", 1, 2, 6), ("gl", 2, 0, 6), ("gl", 2, 1, 6),
     ("gl", 2, 2, 6), ("gl", 3, 0, 6), ("gl", 3, 1, 6), ("gl", 4, 0, 6), ("osp", 3, 2, 6),

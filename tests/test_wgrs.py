@@ -7,8 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, orth_complement
-from lagrel.linear_relations import ClosureBoundExceeded, Isometry, generate_group
+from lagrel.exact_linalg import BilinearForm, Subspace, orth_complement
+from lagrel.linear_relations import (
+    ClosureBoundExceeded,
+    Isometry,
+    generate_group,
+    graph,
+    idempotent_relation,
+)
+from lagrel.relation_monoid import closure
 from lagrel.wgrs import (
     IsoSet,
     RootSystem,
@@ -421,3 +428,98 @@ def test_transport_rejects_isoset_not_orthogonal_to_v():
         rs.transport_isoset(v, wide, mx_v[0])
     with pytest.raises(ValueError):
         rs.transport_isoset(v, mx_v[0], wide)
+
+
+LEAN_ENTRIES = ([("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 5]
+                + [("osp", p, q) for p, q in ((1, 2), (3, 2), (2, 2), (4, 2), (2, 4), (5, 2), (4, 4))])
+
+
+def full_generators(rs):
+    """Every anisotropic reflection's graph and every isotropic pair's idempotent."""
+    gens = [graph(rs.reflection(a)) for a in rs.aniso_pairs]
+    gens += [idempotent_relation(rs.form, orth_complement(rs.form, Subspace.from_vectors([a])))
+             for a in rs.iso_pairs]
+    return gens
+
+
+@pytest.mark.parametrize("entry", LEAN_ENTRIES, ids=lambda e: "-".join(map(str, e)))
+def test_lean_generators_give_the_full_closure(entry):
+    from conftest import built_relation
+
+    rs = catalog(*entry)
+    lean = rs.relation_generators()
+    assert len(lean) <= len(full_generators(rs))
+    assert closure(rs.form, lean) == closure(rs.form, full_generators(rs))
+    # each lean generator is its own inverse, so the closure keeps them as they are
+    assert built_relation(*entry).generators == tuple(lean)
+
+
+@pytest.mark.parametrize("entry", LEAN_ENTRIES, ids=lambda e: "-".join(map(str, e)))
+def test_simple_reflections_generate_the_weyl_group(entry):
+    rs = catalog(*entry)
+    every = generate_group(rs.form, map(rs.reflection, rs.aniso_pairs), 10**5)
+    assert generate_group(rs.form, rs.simple_reflections, 10**5) == every == rs.weyl_group
+    # a simple root is not a sum of two positive roots, so the simple roots are independent
+    assert len(rs.simple_reflections) == Subspace.from_vectors(rs.aniso_pairs, ambient_dim=rs.dim).dim
+
+
+@pytest.mark.parametrize("entry", LEAN_ENTRIES, ids=lambda e: "-".join(map(str, e)))
+def test_each_isotropic_pair_lies_in_one_representative_orbit(entry):
+    rs = catalog(*entry)
+    # the idempotent generators are E_{alpha-perp}, so alpha spans (alpha-perp)-perp
+    reps = [orth_complement(rs.form, g.p1) for g in rs.relation_generators() if g.atypicality]
+    orbits = [{line.transform(w.matrix) for w in rs.weyl_group} for line in reps]
+    lines = [Subspace.from_vectors([a]) for a in rs.iso_pairs]
+    assert all(sum(line in orbit for orbit in orbits) == 1 for line in lines)
+    assert set().union(*orbits) == set(lines)
+
+
+def test_generator_counts():
+    counts = {entry: len(catalog(*entry).relation_generators())
+              for entry in (("gl", 4, 1), ("gl", 3, 2), ("gl", 2, 2), ("gl", 1, 1), ("osp", 4, 4))}
+    assert counts == {("gl", 4, 1): 4, ("gl", 3, 2): 4, ("gl", 2, 2): 3, ("gl", 1, 1): 1, ("osp", 4, 4): 5}
+
+
+def test_lean_generators_on_fractional_reflections():
+    # A2 under diag(1, 3): W = S3 from two simple reflections with entries -1/2
+    rs = rootsystem_from_payload(A2_SKEWED)
+    assert len(rs.simple_reflections) == 2
+    assert closure(rs.form, rs.relation_generators()) == closure(rs.form, full_generators(rs))
+
+
+def test_validate_failure_texts():
+    # the failure texts as the Fraction-based validate printed them: a
+    # non-integral system with fractional roots, a missing reflection image
+    # (also under a negative norm) and a missing negative with a shift failure
+    rs = RootSystem(BilinearForm.diagonal([2, 3]),
+                    [(Fraction(1, 2), 0), (Fraction(-1, 2), 0),
+                     (Fraction(1, 3), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-1, 3))])
+    assert rs.validate().failures == (
+        "integrality: k((-1/2, 0/1),(-1/3, -1/3)) = 4/3 not integral",
+        "integrality: k((-1/2, 0/1),(1/3, 1/3)) = -4/3 not integral",
+        "integrality: k((-1/3, -1/3),(-1/2, 0/1)) = 6/5 not integral",
+        "integrality: k((-1/3, -1/3),(1/2, 0/1)) = -6/5 not integral",
+        "integrality: k((1/3, 1/3),(-1/2, 0/1)) = -6/5 not integral",
+        "integrality: k((1/3, 1/3),(1/2, 0/1)) = 6/5 not integral",
+        "integrality: k((1/2, 0/1),(-1/3, -1/3)) = -4/3 not integral",
+        "integrality: k((1/2, 0/1),(1/3, 1/3)) = 4/3 not integral",
+    )
+    rs = RootSystem(BilinearForm.diagonal([1, -1]), [(1, 0), (-1, 0), (1, 3), (-1, -3)])
+    assert rs.validate().failures == (
+        "integrality: k((-1/1, -3/1),(-1/1, 0/1)) = -1/4 not integral",
+        "integrality: k((-1/1, -3/1),(1/1, 0/1)) = 1/4 not integral",
+        "reflection: s_(-1/1, 0/1)((-1/1, -3/1)) leaves the root set",
+        "reflection: s_(-1/1, 0/1)((1/1, 3/1)) leaves the root set",
+        "reflection: s_(1/1, 0/1)((-1/1, -3/1)) leaves the root set",
+        "reflection: s_(1/1, 0/1)((1/1, 3/1)) leaves the root set",
+        "integrality: k((1/1, 3/1),(-1/1, 0/1)) = 1/4 not integral",
+        "integrality: k((1/1, 3/1),(1/1, 0/1)) = -1/4 not integral",
+    )
+    rs = RootSystem(BilinearForm.diagonal([1, -1]), [(1, -1), (1, 0), (-1, 0)])
+    assert rs.validate().failures == (
+        "symmetry: -(1/1, -1/1) missing",
+        "reflection: s_(-1/1, 0/1)((1/1, -1/1)) leaves the root set",
+        "reflection: s_(1/1, 0/1)((1/1, -1/1)) leaves the root set",
+        "shift: neither (-1/1, 0/1)+-(1/1, -1/1) is a root",
+        "shift: neither (1/1, 0/1)+-(1/1, -1/1) is a root",
+    )
