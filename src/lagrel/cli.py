@@ -22,6 +22,7 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     as_vector,
+    basis_to_payload,
     matrix_to_payload,
     orth_complement,
     rational,
@@ -232,7 +233,7 @@ def cmd_wgrs_relation(args) -> int:
             "num_components": len(rel),
             "weyl_order": len(rel.weyl_group),
             "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
-            "components": [matrix_to_payload(c.space.basis) for c in rel.components],
+            "components": [basis_to_payload(c.space) for c in rel.components],
         }
     )
     _emit(report, args.out)

@@ -435,8 +435,18 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n, _eliminate_prefix([r + r for r in a.rows] + [r + (0,) * n for r in b.rows], n))
 
 
+def basis_to_payload(s: Subspace) -> list[list[str]]:
+    """The RREF basis as "p/q" rows, read off the primitive rows: entry x of a
+    row with pivot p is x/p, and p > 0 makes the reduced denominator positive."""
+    out = []
+    for r in s.rows:
+        p = r[_pivot(r)]
+        out.append([f"{x // g}/{p // g}" for x in r for g in (gcd(x, p),)])
+    return out
+
+
 def subspace_to_payload(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "basis": matrix_to_payload(s.basis)}
+    return {"ambient_dim": s.ambient_dim, "basis": basis_to_payload(s)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 time by one lazy sweep, invariant_slices: the constraints of the relation's
 generators (every non-diagonal component of one built without them) are
 expanded symbolically over Q, one degree further per step, and intersected
-as exact nullspaces.
+as exact nullspaces.  Each relation object keeps its sweep and the slices
+swept so far, so repeated queries on one object sweep each degree once.
 invariant_space(R, d) is the sweep's degree-d slice.  Generators suffice: an
 f constant on L1 and on L2 is constant on L1 o L2, through the middle point,
 and on the transpose, and closure() makes every component a word in the
@@ -19,10 +20,9 @@ the invariants of the relation made of the graphs of the elements of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -296,8 +296,8 @@ def _rows_to_polynomials(rows: Iterable[Sequence[int]], mons: tuple, num_vars: i
     return out
 
 
-def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
-    """Bases of the degree 0, 1, 2, ... slices of the invariant ring of R, lazily.
+def _sweep(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
+    """Bases of the degree 0, 1, 2, ... slices, each computed once.
 
     Each constraint's substitution grows by one degree per step, so a sweep
     to degree D expands every generator once.
@@ -326,8 +326,31 @@ def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[P
         yield _rows_to_polynomials(basis, mons, n)
 
 
+def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
+    """Bases of the degree 0, 1, 2, ... slices of the invariant ring of R, lazily.
+
+    The relation object keeps the slices computed so far and the one sweep
+    that extends them: a call reads that memo first and sweeps only past its
+    highest degree.  The memo is per object, not per value, since two equal
+    relations may have different generators.  Each slice is a fresh list.
+    The memo takes no lock: one relation is not swept from two threads at once.
+    """
+    memo = relation.__dict__.get("_slice_memo")
+    if memo is None:
+        memo = relation.__dict__["_slice_memo"] = ([], _sweep(relation))
+    done, sweep = memo
+    for degree in count(0):
+        if degree == len(done):
+            try:
+                done.append(next(sweep))
+            except BaseException:  # an interrupted sweep cannot resume: the next call starts over
+                relation.__dict__.pop("_slice_memo", None)
+                raise
+        yield list(done[degree])
+
+
 def invariant_space(relation: LagrangianEquivalenceRelation, degree: int) -> list[Polynomial]:
-    """Basis of the homogeneous degree-d slice of the invariant ring of R: one sweep to d."""
+    """Basis of the homogeneous degree-d slice of the invariant ring of R: the sweep's slice d."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return next(islice(invariant_slices(relation), degree, None))
@@ -400,8 +423,7 @@ def contains_polynomial(basis: Sequence[Polynomial], poly: Polynomial, degree: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminantPolynomial:
+class DiscriminantPolynomial(NamedTuple):
     polynomial: Polynomial
     degree: int
     hyperplanes: tuple[Subspace, ...]
@@ -443,8 +465,7 @@ def restriction_map(relation: LagrangianEquivalenceRelation, v0: Subspace, degre
     )
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     status: str  # "equivalent" | "separated" | "exhausted"
     degree: int | None = None
     polynomial: Polynomial | None = None

@@ -27,6 +27,7 @@ from .exact_linalg import (
     _int_vector,
     _matrix,
     as_vector,
+    basis_to_payload,
     matrix_to_payload,
     orth_complement,
     quotient,
@@ -376,7 +377,7 @@ def relation_from_data(form: BilinearForm, v0: Subspace, v0p: Subspace, alpha: M
 def relation_to_payload(rel: LinearRelation) -> dict:
     return {
         "form": matrix_to_payload(rel.form.gram),
-        "space": matrix_to_payload(rel.space.basis),
+        "space": basis_to_payload(rel.space),
     }
 
 

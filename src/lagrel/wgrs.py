@@ -11,12 +11,11 @@ give the same relation, hence the same invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact_linalg import (
     BilinearForm,
@@ -24,8 +23,11 @@ from .exact_linalg import (
     Rational,
     Subspace,
     Vector,
+    _echelon,
+    _int_rows,
     _int_vector,
     _matrix,
+    _residual,
     as_vector,
     matrix_to_payload,
     orth_complement,
@@ -57,8 +59,7 @@ def _orient(v: Vector) -> Vector:
     return v
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...] = ()
 
@@ -129,6 +130,11 @@ class RootSystem:
     @cached_property
     def iso_pairs(self) -> tuple[Vector, ...]:
         return tuple(sorted({_orient(v) for v in self.iso_roots}))
+
+    @cached_property
+    def _iso_pair_rows(self) -> tuple[list[int], ...]:
+        """iso_pairs with denominators cleared, for integer pairings."""
+        return tuple(_int_rows(self.iso_pairs))
 
     @cached_property
     def aniso_pairs(self) -> tuple[Vector, ...]:
@@ -242,12 +248,16 @@ class RootSystem:
         """The iso-sets orthogonal to v (all when v is None) that lie inside no other.
 
         Without v they must all have one cardinality; AssertionError is raised if not.
+        Orthogonality to v is tested in integers; a v of the wrong length raises ValueError.
         """
         self.require_valid()
         candidates = self.iso_sets
         if v is not None:
-            vv = as_vector(v)
-            orth = {p for p in self.iso_pairs if self.form.pairing(p, vv) == 0}
+            _, iv = _int_vector(v)
+            if len(iv) != self.dim:
+                raise ValueError("vector length disagrees with form dimension")
+            pair = self.form.int_pairing
+            orth = {p for p, ip in zip(self.iso_pairs, self._iso_pair_rows) if pair(ip, iv) == 0}
             candidates = [s for s in candidates if orth.issuperset(s.pairs)]
         maximal = tuple(s for s in candidates if not any(s.roots < t.roots for t in candidates))
         if v is None and len({s.num_pairs for s in maximal}) > 1:
@@ -417,7 +427,13 @@ class RootSystem:
         raise ValueError("component is not of the form graph(w) o E_{S-perp}")
 
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
-        """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v."""
+        """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.
+
+        Span S is echeloned once; each integer w^-1 v' - v, over W in order, is
+        tested by its residual, and coefficients are solved for only where it
+        vanishes (a solve that fails, as when S's matrix lacks full column
+        rank, moves on to the next w).
+        """
         self.require_valid()
         vv = as_vector(v)
         vp = as_vector(v_prime)
@@ -425,13 +441,16 @@ class RootSystem:
             raise ValueError("vector length disagrees with form dimension")
         choices = self.maximal_isosets(vv)
         pairs = choices[0].pairs if choices else ()
-        mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
+        span = _echelon(_int_rows(pairs))
         dv, iv = _int_vector(vv)
         dp, ip = _int_vector(vp)
         for w, w_inv in self._weyl_and_inverses:
             # w^-1 v' - v, as integers over w_inv.den * dp * dv
             scale = w_inv.den * dp
-            diff = (dv * sum(map(mul, row, ip)) - scale * x for row, x in zip(w_inv.ints, iv))
+            diff = [dv * sum(map(mul, row, ip)) - scale * x for row, x in zip(w_inv.ints, iv)]
+            if _residual(diff, span) is not None:
+                continue
+            mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
             try:
                 coeffs = solve_right(mat, _matrix(scale * dv, ((d,) for d in diff), 1))
             except ValueError:

@@ -3,13 +3,17 @@ package, tests or demos, no dead private helpers and no `assert` statement in th
 package, no dead helper functions in tests or demos, and a package `__all__` that
 matches what `__init__.py` imports.
 
-Every check reads the files with the standard library's `ast` only, so they
-run without importing the package.
+Every check but the last reads the files with the standard library's `ast`
+only, so they run without importing the package; the last imports the command
+line in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -134,3 +138,11 @@ def test_package_exports_match_its_imports():
     # every listed name resolves on the package, and every imported name is listed
     assert sorted(exported - imported - assigned) == []
     assert sorted(imported - exported) == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every CLI job pays for what importing lagrel.cli loads; -S keeps site's imports out
+    code = "import sys, lagrel.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -38,7 +38,7 @@ from lagrel.invariants import (
     verify_invariants,
     weyl_invariant_space,
 )
-from lagrel.linear_relations import Isometry, diagonal, graph
+from lagrel.linear_relations import Isometry, diagonal, generate_group, graph
 from lagrel.relation_monoid import LagrangianEquivalenceRelation, closure
 from lagrel.wgrs import catalog, rootsystem_from_payload
 
@@ -402,3 +402,84 @@ def test_sweep_expands_each_degree_once(monkeypatch):
     monkeypatch.setattr(invariants, "monomials", lambda n, d: calls.append(d) or mons(n, d))
     assert [len(b) for b in islice(invariant_slices(rel), 8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     assert len(calls) <= 228
+
+
+# The slice memo: each relation object keeps the slices swept so far.
+
+def fresh_gl21():
+    return catalog("gl", 2, 1).build_relation()
+
+
+def test_build_relation_sweeps_nothing():
+    assert "_slice_memo" not in vars(fresh_gl21())
+
+
+def test_interleaved_sweeps_and_a_sweep_after_separate_match_a_fresh_relation():
+    expected = list(islice(invariant_slices(fresh_gl21()), 7))
+    rel = fresh_gl21()
+    a, b = invariant_slices(rel), invariant_slices(rel)
+    got_a = [next(a), next(a), next(a)]
+    got_b = [next(b)]
+    got_a.append(next(a))
+    got_b += [next(b) for _ in range(6)]
+    got_a += [next(a) for _ in range(3)]
+    assert got_a == expected and got_b == expected
+    rel = fresh_gl21()
+    assert separate(rel, (1, 0, 0), (3, 0, 0)).status == "separated"
+    assert list(islice(invariant_slices(rel), 7)) == expected
+
+
+def test_a_repeated_sweep_extends_only_past_the_memo(monkeypatch):
+    rel = fresh_gl21()
+    calls = []
+    intersect = invariants._intersect_constraints
+    monkeypatch.setattr(invariants, "_intersect_constraints",
+                        lambda *args: calls.append(args[-1]) or intersect(*args))
+    first = list(islice(invariant_slices(rel), 5))
+    assert sorted(set(calls)) == [0, 1, 2, 3, 4]
+    calls.clear()
+    assert list(islice(invariant_slices(rel), 5)) == first
+    assert invariant_space(rel, 3) == first[3]
+    assert calls == []
+    invariant_space(rel, 6)
+    assert sorted(set(calls)) == [5, 6]
+
+
+def test_mutating_a_returned_slice_does_not_change_the_memo():
+    rel = fresh_gl21()
+    slices = list(islice(invariant_slices(rel), 4))
+    expected = [list(s) for s in slices]
+    slices[2].clear()
+    slices[3].append(Polynomial.one(3))
+    assert list(islice(invariant_slices(rel), 4)) == expected
+    assert invariant_space(rel, 2) == expected[2]
+
+
+def test_an_interrupted_sweep_is_started_over(monkeypatch):
+    expected = list(islice(invariant_slices(fresh_gl21()), 5))
+    rel = fresh_gl21()
+    intersect = invariants._intersect_constraints
+
+    def interrupt_at_degree_3(*args):
+        if args[-1] == 3:
+            raise KeyboardInterrupt
+        return intersect(*args)
+
+    monkeypatch.setattr(invariants, "_intersect_constraints", interrupt_at_degree_3)
+    with pytest.raises(KeyboardInterrupt):
+        list(islice(invariant_slices(rel), 5))
+    monkeypatch.setattr(invariants, "_intersect_constraints", intersect)
+    assert list(islice(invariant_slices(rel), 5)) == expected
+
+
+def test_equal_relations_with_different_generators_keep_their_own_memo():
+    # all of S3 as components; one transposition alone as generator slices differently
+    form = BilinearForm.diagonal([1, 1, 1])
+    s12 = Isometry.reflection(form, (1, -1, 0))
+    s3 = [graph(w) for w in generate_group(form, [s12, Isometry.reflection(form, (0, 1, -1))], 6)]
+    whole = LagrangianEquivalenceRelation(form, s3)
+    partial = LagrangianEquivalenceRelation(form, s3, generators=[graph(s12)])
+    assert whole == partial and hash(whole) == hash(partial)
+    assert [len(b) for b in islice(invariant_slices(whole), 4)] == [1, 1, 2, 3]
+    assert [len(b) for b in islice(invariant_slices(partial), 4)] == [1, 2, 4, 6]
+    assert [len(b) for b in islice(invariant_slices(whole), 4)] == [1, 1, 2, 3]

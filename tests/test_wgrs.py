@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Subspace, orth_complement
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, as_vector, orth_complement, solve_right
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
@@ -327,6 +327,77 @@ def test_class_membership_rejects_wrong_length():
         rs.class_membership((1, 0, 5), (0, 1))
     with pytest.raises(ValueError, match="vector length disagrees with form dimension"):
         rs.class_membership((1, 0), (0, 1, 0))
+
+
+def reference_class_membership(rs, v, v_prime):
+    """The per-element solve: the first w, in _weyl_and_inverses order, for which
+    w^-1 v' - v solves against the columns of the first maximal iso-set."""
+    vv, vp = as_vector(v), as_vector(v_prime)
+    choices = rs.maximal_isosets(vv)
+    pairs = choices[0].pairs if choices else ()
+    mat = Matrix([[p[i] for p in pairs] for i in range(rs.dim)], cols=len(pairs))
+    for w, w_inv in rs._weyl_and_inverses:
+        diff = [a - b for a, b in zip(w_inv.apply(vp), vv)]
+        try:
+            coeffs = solve_right(mat, Matrix([[d] for d in diff], cols=1))
+        except ValueError:
+            continue
+        return True, (w, tuple(coeffs.column(0)))
+    return False, None
+
+
+# pairwise-orthogonal isotropic roots a, b and a + b: the one maximal iso-set
+# spans two dimensions with three pairs, so its matrix lacks full column rank
+DEPENDENT_ISOSET = {
+    "gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+    "roots": [[s * x for x in r] for r in ([1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]) for s in (1, -1)],
+}
+
+
+def related_point(rs, rng, x):
+    """w(x + t a) for a random w in W and a random isotropic a orthogonal to x (if any)."""
+    y = list(x)
+    orth = [p for p in rs.iso_pairs if rs.form.pairing(p, x) == 0]
+    if orth:
+        a = rng.choice(orth)
+        t = rng.randint(-3, 3)
+        y = [u + t * b for u, b in zip(y, a)]
+    return rng.choice(rs.weyl_group).apply(y)
+
+
+def atypical_point(rs, rng):
+    """A random point made orthogonal to a random isotropic root, when there is one."""
+    x = [Fraction(rng.randint(-2, 2)) for _ in range(rs.dim)]
+    if rs.iso_pairs:
+        a = rng.choice(rs.iso_pairs)
+        u = next(e for e in (tuple(int(i == j) for i in range(rs.dim)) for j in range(rs.dim))
+                 if rs.form.pairing(e, a))
+        c = rs.form.pairing(x, a) / rs.form.pairing(u, a)
+        x = [xi - c * ui for xi, ui in zip(x, u)]
+    return tuple(x)
+
+
+@pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), "dependent"])
+def test_class_membership_matches_the_per_element_solve(entry):
+    rs = rootsystem_from_payload(DEPENDENT_ISOSET) if entry == "dependent" else catalog(*entry)
+    rng = random.Random(f"class-membership-{entry}")
+    answers = set()
+    for _ in range(60):
+        x = atypical_point(rs, rng)
+        for y in (related_point(rs, rng, x), tuple(rng.randint(-2, 2) for _ in range(rs.dim))):
+            got = rs.class_membership(x, y)
+            want = reference_class_membership(rs, x, y)
+            assert got[0] == want[0], (x, y)
+            if want[0]:
+                assert got[1][0].matrix == want[1][0].matrix and got[1][1] == want[1][1], (x, y)
+            else:
+                assert got[1] is None
+            answers.add(got[0])
+    assert answers == {True, False}
+    if entry == "dependent":
+        # 0 and a lie in one class, but the solve against the three dependent pairs fails for every w
+        pair = ((0, 0, 0, 0), (1, 0, 1, 0))
+        assert rs.class_membership(*pair) == reference_class_membership(rs, *pair) == (False, None)
 
 
 A2_SKEWED = {
