@@ -40,7 +40,7 @@ from .exact_linalg import (
     rational,
     solve_right,
 )
-from .linear_relations import Isometry, graph
+from .linear_relations import Isometry, LinearRelation, graph
 from .relation_monoid import LagrangianEquivalenceRelation
 
 
@@ -296,15 +296,15 @@ def _rows_to_polynomials(rows: Iterable[Sequence[int]], mons: tuple, num_vars: i
     return out
 
 
-def _sweep(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
-    """Bases of the degree 0, 1, 2, ... slices, each computed once.
+def _sweep(n: int, generators: Sequence[LinearRelation]) -> Iterator[list[Polynomial]]:
+    """Bases of the degree 0, 1, 2, ... slices of the invariants of the generators in n variables.
 
     Each constraint's substitution grows by one degree per step, so a sweep
-    to degree D expands every generator once.
+    to degree D expands every generator once.  The sweep holds no reference
+    to the relation, so the memo that keeps it makes no reference cycle.
     """
-    n = relation.n
     constraints = []
-    for comp in relation.generators:
+    for comp in generators:
         d = comp.space.dim
         m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
         m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
@@ -337,7 +337,7 @@ def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[P
     """
     memo = relation.__dict__.get("_slice_memo")
     if memo is None:
-        memo = relation.__dict__["_slice_memo"] = ([], _sweep(relation))
+        memo = relation.__dict__["_slice_memo"] = ([], _sweep(relation.n, relation.generators))
     done, sweep = memo
     for degree in count(0):
         if degree == len(done):

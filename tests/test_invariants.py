@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import islice
 
@@ -204,12 +206,14 @@ def test_separate_related_points(gl11):
     assert res.status == "equivalent"
 
 
-def test_separate_decides_related_points_by_membership_alone(gl22, monkeypatch):
+def test_separate_decides_related_points_by_membership_alone(monkeypatch):
+    # a fresh relation: one whose slice memo is filled would sweep nothing anyway
+    rel = catalog("gl", 2, 2).build_relation()
     kernels = []
     nullspace = invariants._nullspace
     monkeypatch.setattr(invariants, "_nullspace",
                         lambda rows, k: kernels.append(k) or nullspace(rows, k))
-    assert separate(gl22, (1, 2, 3, 4), (2, 1, 3, 4), 6).status == "equivalent"
+    assert separate(rel, (1, 2, 3, 4), (2, 1, 3, 4), 6).status == "equivalent"
     assert kernels == []
 
 
@@ -395,8 +399,9 @@ def test_inverse_generator_adds_no_constraints(monkeypatch):
 
 def test_sweep_expands_each_degree_once(monkeypatch):
     # each degree's substitutions are built once, from the degree below, so a
-    # sweep to degree 7 on gl(3|2) lists few monomials (a per-degree rebuild lists 777)
-    rel = built_relation("gl", 3, 2)
+    # sweep to degree 7 on gl(3|2) lists few monomials (a per-degree rebuild lists 777);
+    # a fresh relation, so the memo of the shared one cannot hide degrees from the count
+    rel = catalog("gl", 3, 2).build_relation()
     calls = []
     mons = invariants.monomials
     monkeypatch.setattr(invariants, "monomials", lambda n, d: calls.append(d) or mons(n, d))
@@ -443,6 +448,19 @@ def test_a_repeated_sweep_extends_only_past_the_memo(monkeypatch):
     assert calls == []
     invariant_space(rel, 6)
     assert sorted(set(calls)) == [5, 6]
+
+
+def test_a_swept_relation_is_freed_without_the_cycle_collector():
+    # the memo's sweep holds only n and the generators, not the relation
+    rel = fresh_gl21()
+    list(islice(invariant_slices(rel), 4))
+    ref = weakref.ref(rel)
+    gc.disable()
+    try:
+        del rel
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_mutating_a_returned_slice_does_not_change_the_memo():

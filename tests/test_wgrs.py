@@ -329,6 +329,14 @@ def test_class_membership_rejects_wrong_length():
         rs.class_membership((1, 0), (0, 1, 0))
 
 
+@pytest.mark.parametrize("entry", [("gl", 2, 1), ("gl", 3, 0)])
+def test_maximal_isosets_rejects_wrong_length(entry):
+    rs = catalog(*entry)
+    for v in ((0,) * (rs.dim - 1), (0,) * (rs.dim + 1)):
+        with pytest.raises(ValueError, match="vector length disagrees with form dimension"):
+            rs.maximal_isosets(v)
+
+
 def reference_class_membership(rs, v, v_prime):
     """The per-element solve: the first w, in _weyl_and_inverses order, for which
     w^-1 v' - v solves against the columns of the first maximal iso-set."""
@@ -395,9 +403,17 @@ def test_class_membership_matches_the_per_element_solve(entry):
             answers.add(got[0])
     assert answers == {True, False}
     if entry == "dependent":
-        # 0 and a lie in one class, but the solve against the three dependent pairs fails for every w
         pair = ((0, 0, 0, 0), (1, 0, 1, 0))
-        assert rs.class_membership(*pair) == reference_class_membership(rs, *pair) == (False, None)
+        assert rs.class_membership(*pair) == reference_class_membership(rs, *pair)
+
+
+@pytest.mark.xfail(strict=True, reason="the solve against the dependent pairs of the iso-set "
+                   "fails for every w, so class_membership answers False")
+def test_class_membership_relates_zero_and_an_isotropic_root_of_a_dependent_isoset():
+    rs = rootsystem_from_payload(DEPENDENT_ISOSET)
+    pair = ((0, 0, 0, 0), (1, 0, 1, 0))
+    assert rs.build_relation().membership(*pair)
+    assert rs.class_membership(*pair)[0]
 
 
 A2_SKEWED = {
