@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -546,8 +547,11 @@ class QuotientSpace:
         return f"QuotientSpace(dim {self.dim} from V0 dim {self.space.dim})"
 
 
+@lru_cache(maxsize=4)
 def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
-    """Quotient of a coisotropic V0 by V1 = V0-perp, with the induced form."""
+    """Quotient of a coisotropic V0 by V1 = V0-perp, with the induced form.
+
+    Memoized on (form, v0), both immutable and canonically hashed; the shared result is immutable."""
     if v0.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
     n = form.dim

@@ -423,16 +423,18 @@ def random_rational(rng: random.Random) -> Fraction:
 def random_anisotropic_vector(form: BilinearForm, rng: random.Random) -> Vector:
     while True:
         v = tuple(random_rational(rng) for _ in range(form.dim))
-        if any(v) and form.pairing(v, v) != 0:
+        u = _int_vector(v)[1]
+        if form.int_pairing(u, u):
             return v
 
 
 def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int = 3) -> Isometry:
-    iso = Isometry.identity(form)
+    """A product of 0..max_reflections random reflections, the first one applied first."""
+    iso = None
     for _ in range(rng.randint(0, max_reflections)):
         refl = Isometry.reflection(form, random_anisotropic_vector(form, rng))
-        iso = refl.compose(iso)
-    return iso
+        iso = refl if iso is None else refl.compose(iso)
+    return Isometry.identity(form) if iso is None else iso
 
 
 def _split_indices(form: BilinearForm) -> tuple[list[int], list[int]] | None:
@@ -475,14 +477,19 @@ def random_coisotropic(form: BilinearForm, rng: random.Random) -> Subspace:
 
 
 def random_lagrangian(form: BilinearForm, rng: random.Random) -> LinearRelation:
+    """g o E_V0 = {(x, g y) : (x, y) in E_V0}, read off E's rows (g = M/d gives rows (d x | M y))."""
     e = idempotent_relation(form, random_coisotropic(form, rng))
-    g = graph(random_isometry(form, rng))
-    return compose(e, g)
+    g = random_isometry(form, rng).matrix
+    n = form.dim
+    rows = (tuple(g.den * x for x in r[:n]) + tuple(sum(map(mul, m, r[n:])) for m in g.ints)
+            for r in e.space.rows)
+    return LinearRelation(form, Subspace(2 * n, rows))
 
 
 def random_pairs(seed: int, count: int) -> Iterator[tuple[BilinearForm, LinearRelation, LinearRelation]]:
     """The seeded corpus of `verify monoid`: count triples (form, a, b), dim V = 2 + (i mod 5)."""
     rng = random.Random(seed)
+    forms = [suite_form(dim) for dim in range(2, 7)]
     for i in range(count):
-        form = suite_form(2 + i % 5)
+        form = forms[i % 5]
         yield form, random_lagrangian(form, rng), random_lagrangian(form, rng)

@@ -21,7 +21,9 @@ from .exact_linalg import (
     Subspace,
     _echelon,
     _int_product,
+    _int_vector,
     _matrix,
+    _residual,
     as_vector,
     orth_complement,
     quotient,
@@ -127,13 +129,13 @@ class LagrangianEquivalenceRelation:
         return tuple(sorted(out))
 
     def membership(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-        """Decide (x, y) in R by testing the components."""
+        """Decide (x, y) in R by testing the integer pair's residual against each component."""
         xv = as_vector(x)
         yv = as_vector(y)
         if len(xv) != self.n or len(yv) != self.n:
             raise ValueError("vector length disagrees with relation dimension")
-        pair = xv + yv
-        return any(c.space.contains_vector(pair) for c in self.components)
+        _, pair = _int_vector(xv + yv)
+        return any(_residual(pair, c.space.rows) is None for c in self.components)
 
     def verify_closed(self) -> bool:
         """Audit closure under inverse and under composition of every pair, then

@@ -137,6 +137,12 @@ class RootSystem:
         return tuple(_int_rows(self.iso_pairs))
 
     @cached_property
+    def _iso_set_masks(self) -> tuple[int, ...]:
+        """Each of iso_sets as the bit mask of its pairs' positions in iso_pairs."""
+        bit = {p: 1 << i for i, p in enumerate(self.iso_pairs)}
+        return tuple(sum(bit[p] for p in s.pairs) for s in self.iso_sets)
+
+    @cached_property
     def aniso_pairs(self) -> tuple[Vector, ...]:
         return tuple(sorted({_orient(v) for v in self.aniso_roots}))
 
@@ -248,18 +254,18 @@ class RootSystem:
         """The iso-sets orthogonal to v (all when v is None) that lie inside no other.
 
         Without v they must all have one cardinality; AssertionError is raised if not.
-        Orthogonality to v is tested in integers; a v of the wrong length raises ValueError.
+        Orthogonality to v and containment are tested on integers; a v of the wrong length raises ValueError.
         """
         self.require_valid()
-        candidates = self.iso_sets
+        candidates = list(zip(self.iso_sets, self._iso_set_masks))
         if v is not None:
             _, iv = _int_vector(v)
             if len(iv) != self.dim:
                 raise ValueError("vector length disagrees with form dimension")
             pair = self.form.int_pairing
-            orth = {p for p, ip in zip(self.iso_pairs, self._iso_pair_rows) if pair(ip, iv) == 0}
-            candidates = [s for s in candidates if orth.issuperset(s.pairs)]
-        maximal = tuple(s for s in candidates if not any(s.roots < t.roots for t in candidates))
+            orth = sum(1 << i for i, ip in enumerate(self._iso_pair_rows) if pair(ip, iv) == 0)
+            candidates = [(s, m) for s, m in candidates if m & orth == m]
+        maximal = tuple(s for s, m in candidates if not any(m & t == m != t for _, t in candidates))
         if v is None and len({s.num_pairs for s in maximal}) > 1:
             raise AssertionError("maximal iso-sets of different cardinality")
         return maximal
