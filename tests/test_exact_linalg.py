@@ -208,6 +208,27 @@ def test_quotient_kernel_is_projection_kernel():
         assert q.kernel == orth_complement(form, v0)
 
 
+def test_quotient_memo_returns_what_a_fresh_computation_returns():
+    form = split_form(4)
+    for iso in ([1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1]):
+        v0 = orth_complement(form, Subspace.from_vectors([iso]))
+        cached = quotient(form, v0)
+        assert quotient(form, v0) is cached
+        fresh = quotient.__wrapped__(form, v0)
+        assert fresh is not cached
+        for field in ("space", "kernel", "projection", "section", "induced_form"):
+            assert getattr(fresh, field) == getattr(cached, field)
+
+
+def test_quotient_memo_tells_forms_apart():
+    # the same V0 under two forms of one dimension: a memo keyed by V0 alone returns the first
+    v0 = Subspace.full(2)
+    plus = quotient(BilinearForm.diagonal([1, 1]), v0)
+    split = quotient(BilinearForm.diagonal([1, -1]), v0)
+    assert plus.induced_form.gram == Matrix([[1, 0], [0, 1]])
+    assert split.induced_form.gram == Matrix([[1, 0], [0, -1]])
+
+
 def test_solve_right_round_trip():
     a = Matrix([[1, 2], [0, 1], [3, 1]])
     x = Matrix([[2, 1], [-1, 4]])

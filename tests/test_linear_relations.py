@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement
+from lagrel import linear_relations
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
 from lagrel.linear_relations import (
     Isometry,
     LinearRelation,
@@ -19,8 +20,12 @@ from lagrel.linear_relations import (
     idempotent_relation,
     inverse,
     isometry_of_graph,
+    random_coisotropic,
     random_isometry,
     random_lagrangian,
+    random_pairs,
+    random_rational,
+    relation_from_data,
     relation_from_payload,
     relation_pairing,
     relation_to_payload,
@@ -230,3 +235,55 @@ def test_relation_payload_round_trip():
     rng = random.Random(15)
     rel = random_lagrangian(suite_form(3), rng)
     assert relation_from_payload(relation_to_payload(rel)) == rel
+
+
+def test_round_trip_computes_each_quotient_once():
+    # canonical_data and relation_from_data both take the quotients of p1 and p2
+    shared = 0
+    for form, a, _ in random_pairs(1, 40):
+        quotient.cache_clear()
+        assert relation_from_data(form, *canonical_data(a)) == a
+        distinct = len({a.p1, a.p2})
+        shared += distinct == 1
+        assert (quotient.cache_info().misses, quotient.cache_info().hits) == (distinct, 4 - distinct)
+    assert shared >= 5
+
+
+# The plain corpus generator, kept as the reference: each isometry starts from the identity,
+# <v|v> is tested with a Fraction pairing, and g o E is built by compose(e, graph(g)).
+def reference_anisotropic_vector(form, rng):
+    while True:
+        v = tuple(random_rational(rng) for _ in range(form.dim))
+        if any(v) and form.pairing(v, v) != 0:
+            return v
+
+
+def reference_isometry(form, rng, max_reflections=3):
+    iso = Isometry.identity(form)
+    for _ in range(rng.randint(0, max_reflections)):
+        iso = Isometry.reflection(form, reference_anisotropic_vector(form, rng)).compose(iso)
+    return iso
+
+
+def reference_lagrangian(form, rng):
+    e = idempotent_relation(form, random_coisotropic(form, rng))
+    return compose(e, graph(reference_isometry(form, rng)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_corpus_generator_matches_the_reference(seed, monkeypatch):
+    # the lean generator makes the reference's draws in the reference's order: same relations,
+    # same isometries and the same RNG state after each run of 200
+    def draw(lagrangian, isometry):
+        out = []
+        for dim in range(2, 7):
+            form = suite_form(dim)
+            for make in (lagrangian, isometry):
+                rng = random.Random(seed)
+                out += [make(form, rng) for _ in range(200)]
+                out.append(rng.getstate())
+        return out
+
+    lean = draw(random_lagrangian, random_isometry)
+    monkeypatch.setattr(linear_relations, "random_isometry", reference_isometry)  # inside random_coisotropic
+    assert lean == draw(reference_lagrangian, reference_isometry)
