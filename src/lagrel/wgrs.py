@@ -26,13 +26,11 @@ from .exact_linalg import (
     _echelon,
     _int_rows,
     _int_vector,
-    _matrix,
     _residual,
     as_vector,
     matrix_to_payload,
     orth_complement,
     quotient,
-    solve_right,
     vector_to_payload,
 )
 from .linear_relations import (
@@ -435,10 +433,12 @@ class RootSystem:
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.
 
-        Span S is echeloned once; each integer w^-1 v' - v, over W in order, is
-        tested by its residual, and coefficients are solved for only where it
-        vanishes (a solve that fails, as when S's matrix lacks full column
-        rank, moves on to the next w).
+        One echelon per query holds the certificate rows d (p_i | e_i | 0), one per
+        pair p_i of S with d its denominator.  For each w in W, in order, the row
+        (w^-1 v' - v | 0 | 1), its head scaled to integers, is reduced against it
+        once: the head vanishes exactly when w^-1 v' - v lies in span S, and then
+        w^-1 v' - v = sum c_i p_i with c = -tail / (last * scale).  The c_i are
+        unique when S's pairs are independent; otherwise the echelon picks one.
         """
         self.require_valid()
         vv = as_vector(v)
@@ -447,21 +447,19 @@ class RootSystem:
             raise ValueError("vector length disagrees with form dimension")
         choices = self.maximal_isosets(vv)
         pairs = choices[0].pairs if choices else ()
-        span = _echelon(_int_rows(pairs))
+        k = len(pairs)
+        cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
+                        for i, (d, p) in enumerate(map(_int_vector, pairs)))
         dv, iv = _int_vector(vv)
         dp, ip = _int_vector(vp)
         for w, w_inv in self._weyl_and_inverses:
             # w^-1 v' - v, as integers over w_inv.den * dp * dv
             scale = w_inv.den * dp
             diff = [dv * sum(map(mul, row, ip)) - scale * x for row, x in zip(w_inv.ints, iv)]
-            if _residual(diff, span) is not None:
-                continue
-            mat = Matrix([[p[i] for p in pairs] for i in range(self.dim)], cols=len(pairs))
-            try:
-                coeffs = solve_right(mat, _matrix(scale * dv, ((d,) for d in diff), 1))
-            except ValueError:
-                continue
-            return True, (w, tuple(coeffs.column(0)))
+            res = _residual(diff + [0] * k + [1], cert)
+            if not any(res[:self.dim]):
+                den = res[-1] * scale * dv
+                return True, (w, tuple(Fraction(-c, den) for c in res[self.dim:-1]))
         return False, None
 
     # -- reduction by an isotropic root -----------------------------------------------
@@ -489,31 +487,16 @@ class RootSystem:
 
 
 def _gl_roots(m: int, n: int) -> list[tuple[int, ...]]:
+    """e_i - e_j for all i != j; dim V = m + n."""
     dim = m + n
-    roots = []
-
-    def diff(i, j):
-        return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(dim))
-
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                roots.append(diff(i, j))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(diff(m + i, m + j))
-    for i in range(m):
-        for j in range(n):
-            roots.append(diff(i, m + j))
-            roots.append(diff(m + j, i))
-    return roots
+    return [tuple((k == i) - (k == j) for k in range(dim))
+            for i in range(dim) for j in range(dim) if i != j]
 
 
 def _osp_roots(m: int, n: int, odd: bool) -> list[tuple[int, ...]]:
-    """B(m|n) roots when odd, D(m|n) roots otherwise; dim V = m + n."""
+    """+-e_a +- e_b (a < b), +-2e_p on the last n coordinates, and for B(m|n) (odd)
+    +-e_a on every coordinate; D(m|n) otherwise.  dim V = m + n."""
     dim = m + n
-    roots: list[tuple[int, ...]] = []
 
     def vec(*pairs) -> tuple[int, ...]:
         out = [0] * dim
@@ -521,31 +504,11 @@ def _osp_roots(m: int, n: int, odd: bool) -> list[tuple[int, ...]]:
             out[idx] += val
         return tuple(out)
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(vec((i, si), (j, sj)))
+    signs = (1, -1)
+    roots = [vec((a, s), (b, t)) for a in range(dim) for b in range(a + 1, dim) for s in signs for t in signs]
+    roots += [vec((p, 2 * s)) for p in range(m, dim) for s in signs]
     if odd:
-        for i in range(m):
-            roots.append(vec((i, 1)))
-            roots.append(vec((i, -1)))
-    for p in range(n):
-        for q in range(p + 1, n):
-            for sp in (1, -1):
-                for sq in (1, -1):
-                    roots.append(vec((m + p, sp), (m + q, sq)))
-    for p in range(n):
-        roots.append(vec((m + p, 2)))
-        roots.append(vec((m + p, -2)))
-        if odd:
-            roots.append(vec((m + p, 1)))
-            roots.append(vec((m + p, -1)))
-    for i in range(m):
-        for p in range(n):
-            for si in (1, -1):
-                for sp in (1, -1):
-                    roots.append(vec((i, si), (m + p, sp)))
+        roots += [vec((a, s)) for a in range(dim) for s in signs]
     return roots
 
 

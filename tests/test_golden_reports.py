@@ -13,7 +13,9 @@ and gl(3|2) and the `wgrs relation` report of gl(4|1), recorded before those
 commands stopped re-deriving results they had already computed.  Two more
 pin `analyze --degree 4` on generator files (the README's gl(1|1) example
 and the gl(1|1) x gl(2|1) product), recorded before the relation's Weyl
-group was read off its components.
+group was read off its components.  One more pins the `wgrs build` payloads
+of the gl and osp catalog over a small range, recorded before the catalog
+roots were generated from their defining rules.
 """
 
 from __future__ import annotations
@@ -128,6 +130,22 @@ def catalog_files(tmp_path_factory):
 @pytest.mark.parametrize("system", sorted(POINTS))
 def test_catalog_file_bytes(system, catalog_files):
     assert _sha256(catalog_files[system]) == GOLDEN[f"{system} catalog"]
+
+
+# sha256 over "family a b" lines, each followed by its `wgrs build` payload, for
+# every gl(m|n) with 1 <= m + n <= 5 and every osp(p|q) with p <= 6, q in {0, 2, 4, 6}
+CATALOG_BUILDS = "6a48bac6d57d21ca3419e2f109679b20b29ce6741dd575faf0712f4601cfcda7"
+
+
+def test_catalog_build_bytes(tmp_path):
+    entries = [("gl", m, n) for m in range(6) for n in range(6) if 1 <= m + n <= 5]
+    entries += [("osp", p, q) for p in range(7) for q in (0, 2, 4, 6) if p + q >= 1]
+    digest = hashlib.sha256()
+    out = tmp_path / "rs.json"
+    for family, a, b in entries:
+        assert main(["wgrs", "build", family, str(a), str(b), "--out", str(out)]) == 0
+        digest.update(f"{family} {a} {b}\n".encode() + out.read_bytes())
+    assert digest.hexdigest() == CATALOG_BUILDS
 
 
 @pytest.mark.parametrize("system", sorted(POINTS))

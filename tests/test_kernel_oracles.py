@@ -225,7 +225,7 @@ def products(draw):
 @settings(max_examples=200, deadline=None)
 @given(products())
 def test_matrix_operations_match_fraction_loops(case):
-    # 0 x n and n x 0 shapes are drawn too: canonical_data and class_membership build them
+    # 0 x n and n x 0 shapes are drawn too: canonical_data builds them
     r, k, c, a, b, v = case
     ma, mb = Matrix(a, cols=k), Matrix(b, cols=c)
     check_canonical(ma, a)

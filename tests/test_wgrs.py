@@ -130,6 +130,20 @@ def test_weyl_group_orders():
             assert len(rs.weyl_group) == math.factorial(m) * math.factorial(n)
 
 
+@pytest.mark.parametrize("entry", [(m, n) for m in range(6) for n in range(6) if 1 <= m + n <= 5],
+                         ids=lambda e: "gl-%d-%d" % e)
+def test_gl_component_counts_have_closed_forms(entry):
+    # C(m,k) C(n,k) m! n! components of atypicality k, which sum to (m + n)!
+    # by Vandermonde's identity
+    from math import comb, factorial
+
+    m, n = entry
+    rel = catalog("gl", m, n).build_relation()
+    assert len(rel) == factorial(m + n)
+    assert rel.atypicality_histogram() == {
+        k: comb(m, k) * comb(n, k) * factorial(m) * factorial(n) for k in range(min(m, n) + 1)}
+
+
 def test_indecomposable_components():
     assert len(catalog("gl", 1, 1).indecomposable_components()) == 1
     assert len(catalog("gl", 2, 2).indecomposable_components()) == 1
@@ -296,12 +310,7 @@ def test_class_membership_agrees_with_relation(gl21):
         ok, witness = rs.class_membership(x, y)
         assert ok == gl21.membership(x, y)
         if ok:
-            w, coeffs = witness
-            s = rs.maximal_isosets(x)[0]
-            shifted = list(x)
-            for c, p in zip(coeffs, s.pairs):
-                shifted = [a + c * b for a, b in zip(shifted, p)]
-            assert w.apply(shifted) == tuple(Fraction(v) for v in y)
+            assert_witness(rs, x, y, witness)
 
 
 @pytest.mark.parametrize(
@@ -317,8 +326,19 @@ def test_class_membership_agreement_other_entries(name, m, n):
     for _ in range(500):
         x = tuple(rng.randint(-2, 2) for _ in range(rs.dim))
         y = tuple(rng.randint(-2, 2) for _ in range(rs.dim))
-        ok, _ = rs.class_membership(x, y)
+        ok, witness = rs.class_membership(x, y)
         assert ok == rel.membership(x, y)
+        if ok:
+            assert_witness(rs, x, y, witness)
+
+
+def assert_witness(rs, v, v_prime, witness):
+    """v' = w(v + sum c_i p_i) over the pairs p_i of the first maximal iso-set orthogonal to v."""
+    w, coeffs = witness
+    pairs = rs.maximal_isosets(v)[0].pairs
+    assert len(coeffs) == len(pairs)
+    shifted = [a + sum(c * p[i] for c, p in zip(coeffs, pairs)) for i, a in enumerate(as_vector(v))]
+    assert w.apply(shifted) == as_vector(v_prime), (v, v_prime)
 
 
 def test_class_membership_rejects_wrong_length():
@@ -385,35 +405,68 @@ def atypical_point(rs, rng):
     return tuple(x)
 
 
-@pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), "dependent"])
-def test_class_membership_matches_the_per_element_solve(entry):
-    rs = rootsystem_from_payload(DEPENDENT_ISOSET) if entry == "dependent" else catalog(*entry)
-    rng = random.Random(f"class-membership-{entry}")
-    answers = set()
+def rebased(rs, seed):
+    """A copy of rs with roots T r and Gram matrix T^-T G T^-1 for a seeded rational
+    invertible T, so that its iso pairs have denominators."""
+    rng = random.Random(seed)
+    while True:
+        t = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rs.dim)]
+                    for _ in range(rs.dim)], cols=rs.dim)
+        if t.rank() == rs.dim:
+            break
+    t_inv = t.inverse()
+    return RootSystem(BilinearForm(t_inv.transpose() @ rs.form.gram @ t_inv), [t.apply(r) for r in rs.roots])
+
+
+def membership_cases(rs, seed):
+    """60 seeded rounds of (x, y) pairs: x atypical, y once related to x and once random."""
+    rng = random.Random(seed)
     for _ in range(60):
         x = atypical_point(rs, rng)
         for y in (related_point(rs, rng, x), tuple(rng.randint(-2, 2) for _ in range(rs.dim))):
-            got = rs.class_membership(x, y)
+            yield x, y
+
+
+REBASED = [("rebased", "gl", 2, 1), ("rebased", "gl", 2, 2), ("rebased", "gl", 3, 2), ("rebased", "osp", 3, 2)]
+
+
+@pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), "dependent"] + REBASED,
+                         ids=lambda e: "-".join(map(str, e)) if e in REBASED else None)
+def test_class_membership_matches_the_per_element_solve(entry):
+    # the closure decides every answer; the per-element solve, which needs independent
+    # pairs, also fixes the witness.  The rebased systems' iso pairs have denominators.
+    if entry == "dependent":
+        rs = rootsystem_from_payload(DEPENDENT_ISOSET)
+    elif entry in REBASED:
+        rs = rebased(catalog(*entry[1:]), f"rebased-{entry[1:]}")
+        assert any(x.denominator != 1 for p in rs.iso_pairs for x in p)
+    else:
+        rs = catalog(*entry)
+    rel = rs.build_relation()
+    answers = set()
+    for x, y in membership_cases(rs, f"class-membership-{entry}"):
+        got = rs.class_membership(x, y)
+        assert got[0] == rel.membership(x, y), (x, y)
+        if entry != "dependent":
             want = reference_class_membership(rs, x, y)
             assert got[0] == want[0], (x, y)
             if want[0]:
                 assert got[1][0].matrix == want[1][0].matrix and got[1][1] == want[1][1], (x, y)
-            else:
-                assert got[1] is None
-            answers.add(got[0])
+        if got[0]:
+            assert_witness(rs, x, y, got[1])
+        else:
+            assert got[1] is None
+        answers.add(got[0])
     assert answers == {True, False}
-    if entry == "dependent":
-        pair = ((0, 0, 0, 0), (1, 0, 1, 0))
-        assert rs.class_membership(*pair) == reference_class_membership(rs, *pair)
 
 
-@pytest.mark.xfail(strict=True, reason="the solve against the dependent pairs of the iso-set "
-                   "fails for every w, so class_membership answers False")
 def test_class_membership_relates_zero_and_an_isotropic_root_of_a_dependent_isoset():
     rs = rootsystem_from_payload(DEPENDENT_ISOSET)
     pair = ((0, 0, 0, 0), (1, 0, 1, 0))
     assert rs.build_relation().membership(*pair)
-    assert rs.class_membership(*pair)[0]
+    ok, witness = rs.class_membership(*pair)
+    assert ok
+    assert_witness(rs, *pair, witness)
 
 
 A2_SKEWED = {
