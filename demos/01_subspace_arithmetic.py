@@ -38,4 +38,4 @@ q = quotient(form, perp)
 print("V0/V1 has dimension", q.dim)
 print("induced Gram matrix:", q.induced_form.gram)
 print("projection o section = identity:",
-      q.project_vector(q.lift_coords((Fraction(1),))) == (Fraction(1),))
+      q.projection.apply(q.section.apply((Fraction(1),))) == (Fraction(1),))

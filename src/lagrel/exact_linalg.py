@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -512,39 +512,24 @@ def orth_complement(form: BilinearForm, u: Subspace) -> Subspace:
     return Subspace(n, _nullspace(_int_product(u.rows, form.gram.ints, n), n))
 
 
-class QuotientSpace:
+class QuotientSpace(NamedTuple):
     """Coordinates on V0/V1 for a coisotropic V0 with V1 = V0-perp.
 
-    `projection` is a full-row-rank map defined on all of V whose restriction
-    to V0 has kernel exactly V1; `section` right-inverts it through the
-    deterministic leftmost-pivot complement of V1 inside V0.
+    `section` has as columns the deterministic leftmost-pivot complement U of
+    V1 inside V0.  `projection` = Gram_U^-1 U G reads off the coordinates t of
+    v = sum t_j u_j + k (k in V1), since <u_i|v> = (Gram_U t)_i; on V0 its
+    kernel is exactly V1 (on all of V it is U-perp).
     """
 
-    __slots__ = ("space", "kernel", "projection", "section", "induced_form")
-
-    def __init__(self, space: Subspace, kernel: Subspace, projection: Matrix,
-                 section: Matrix, induced_form: BilinearForm):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "induced_form", induced_form)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("QuotientSpace is immutable")
+    space: Subspace
+    kernel: Subspace
+    projection: Matrix
+    section: Matrix
+    induced_form: BilinearForm
 
     @property
     def dim(self) -> int:
         return self.projection.rows
-
-    def project_vector(self, v: Sequence[Rational]) -> Vector:
-        return self.projection.apply(v)
-
-    def lift_coords(self, t: Sequence[Rational]) -> Vector:
-        return self.section.apply(t)
-
-    def __repr__(self) -> str:
-        return f"QuotientSpace(dim {self.dim} from V0 dim {self.space.dim})"
 
 
 @lru_cache(maxsize=4)
@@ -565,13 +550,10 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
             u_rows.append(res)
     u_rows = _echelon(u_rows)
     q = len(u_rows)
-    # U + V1 = V0, so V0's own echelon rows give the pivot columns of the union
-    pivcols = {_pivot(r) for r in v0.rows}
-    d_rows = [_unit_row(n, j) for j in range(n) if j not in pivcols]
-    f_rows = list(u_rows) + list(v1.rows) + d_rows
-    inv = _matrix(1, zip(*f_rows), n).inverse()
-    projection = _matrix(inv.den, inv.ints[:q], n)
     section = _matrix(1, zip(*u_rows) if q else ((),) * n, q)
-    gram = ((form.int_pairing(a, b) for b in u_rows) for a in u_rows)
+    # U H and U H U^T for G = H / e: the e's cancel in Gram_U^-1 U G
+    uh = _int_product(u_rows, form.gram.ints, n)
+    gram = tuple(tuple(sum(map(mul, row, u)) for u in u_rows) for row in uh)
     induced = BilinearForm(_matrix(form.gram.den, gram, q))
+    projection = solve_right(_matrix(1, gram, q), _matrix(1, uh, n))
     return QuotientSpace(v0, v1, projection, section, induced)

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -112,30 +112,24 @@ class Isometry:
 def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int) -> tuple[Isometry, ...]:
     """The group generated by isometries of form, sorted; RootSystem.weyl_group's closure.
 
-    BFS over products s w, each element held as the integer matrix d g with d
-    its least common denominator (canonical once the gcd of d and all entries
-    is divided out).  Each distinct element is wrapped in a checked Isometry
-    exactly once.  Past max_order elements it raises ClosureBoundExceeded.
+    BFS over products s w of `Matrix` values, whose lowest-terms integers make
+    equal elements hash equal.  Each distinct element is wrapped in a checked
+    Isometry exactly once.  Past max_order elements it raises ClosureBoundExceeded.
     """
-    n = form.dim
-    steps = sorted({(g.matrix.den, g.matrix.ints) for g in gens})
-    ident = (1, Matrix.identity(n).ints)
+    steps = list(dict.fromkeys(g.matrix for g in gens))
+    ident = Matrix.identity(form.dim)
     group = {ident}
     queue = deque([ident])
     while queue:
-        dw, w = queue.popleft()
-        for ds, s in steps:
-            prod = _int_product(s, w, n)
-            d = ds * dw
-            g = gcd(d, *[gcd(*row) for row in prod])
-            key = (d, prod) if g == 1 else (d // g, tuple(tuple(x // g for x in row) for row in prod))
-            if key not in group:
+        w = queue.popleft()
+        for s in steps:
+            prod = s @ w
+            if prod not in group:
                 if len(group) >= max_order:
                     raise ClosureBoundExceeded("Weyl group generation exceeded its bound")
-                group.add(key)
-                queue.append(key)
-    isos = (Isometry(form, _matrix(d, m, n)) for d, m in group)
-    return tuple(sorted(isos, key=lambda s: s.sort_key()))
+                group.add(prod)
+                queue.append(prod)
+    return tuple(sorted((Isometry(form, m) for m in group), key=lambda s: s.sort_key()))
 
 
 def relation_pairing(
@@ -284,12 +278,10 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
 
 
 def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRelation:
-    """The idempotent {(v, v + w) : v in V0, w in V0-perp} for coisotropic V0."""
-    if coisotropic.ambient_dim != form.dim:
-        raise ValueError("ambient dimension mismatch")
-    v1 = orth_complement(form, coisotropic)
-    if not coisotropic.contains(v1):
-        raise ValueError("subspace is not coisotropic")
+    """The idempotent {(v, v + w) : v in V0, w in V0-perp} for coisotropic V0.
+
+    V0-perp and the coisotropy check are those of the memoized `quotient`."""
+    v1 = quotient(form, coisotropic).kernel
     n = form.dim
     rows = [r + r for r in coisotropic.rows]
     rows += [(0,) * n + r for r in v1.rows]
@@ -337,9 +329,6 @@ def canonical_data(rel: LinearRelation) -> tuple[Subspace, Subspace, Matrix]:
     v0p = rel.p2
     q = quotient(rel.form, v0)
     qp = quotient(rel.form, v0p)
-    if q.dim == 0:
-        alpha = Matrix((), cols=0)
-        return v0, v0p, alpha
     n = rel.n
     xs = _matrix(1, (r[:n] for r in rel.space.rows), n) @ q.projection.transpose()
     ys = _matrix(1, (r[n:] for r in rel.space.rows), n) @ qp.projection.transpose()

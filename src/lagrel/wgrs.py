@@ -475,7 +475,7 @@ class RootSystem:
         images = set()
         for r in self.roots:
             if self.form.pairing(r, a) == 0:
-                img = q.project_vector(r)
+                img = q.projection.apply(r)
                 if any(img):
                     images.add(img)
         return RootSystem(q.induced_form, images)

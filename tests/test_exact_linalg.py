@@ -23,6 +23,7 @@ from lagrel.exact_linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from lagrel.linear_relations import random_coisotropic
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -186,7 +187,7 @@ def test_quotient_gl21_hyperplane():
     assert q.dim == 1
     assert q.induced_form.gram.rank() == 1
     # section is a right inverse of the projection on the quotient
-    assert q.project_vector(q.lift_coords((Fraction(1),))) == (Fraction(1),)
+    assert q.projection.apply(q.section.apply((Fraction(1),))) == (Fraction(1),)
 
 
 def test_quotient_requires_coisotropic():
@@ -196,16 +197,36 @@ def test_quotient_requires_coisotropic():
         quotient(form, bad)
 
 
+def rebased_coisotropics(seed):
+    """Seeded coisotropics of split forms in the coordinates x' = T x for a rational
+    invertible T: the Gram matrix T^-T G T^-1 is not diagonal, and V0' = T V0."""
+    rng = random.Random(seed)
+    for dim in (2, 3, 4, 5, 6):
+        form = split_form(dim)
+        for _ in range(4):
+            while True:
+                t = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+                            for _ in range(dim)])
+                if t.rank() == dim:
+                    break
+            t_inv = t.inverse()
+            yield BilinearForm(t_inv.transpose() @ form.gram @ t_inv), random_coisotropic(form, rng).transform(t)
+
+
 def test_quotient_kernel_is_projection_kernel():
     rng = random.Random(11)
     form = split_form(4)
-    for _ in range(10):
-        iso = [1, 0, rng.choice([1, -1]), 0]
-        v0 = orth_complement(form, Subspace.from_vectors([iso]))
+    cases = [(form, orth_complement(form, Subspace.from_vectors([[1, 0, rng.choice([1, -1]), 0]])))
+             for _ in range(10)]
+    rebased = list(rebased_coisotropics(12))
+    assert sum(v0.dim < form.dim for form, v0 in rebased) >= 10
+    for form, v0 in cases + rebased:
         q = quotient(form, v0)
         for r in q.kernel.rows:
-            assert not any(q.project_vector(tuple(Fraction(x) for x in r)))
+            assert not any(q.projection.apply(tuple(Fraction(x) for x in r)))
         assert q.kernel == orth_complement(form, v0)
+        assert q.projection @ q.section == Matrix.identity(q.dim)
+        assert q.section.transpose() @ form.gram @ q.section == q.induced_form.gram
 
 
 def test_quotient_memo_returns_what_a_fresh_computation_returns():
