@@ -21,7 +21,7 @@ the invariants of the relation made of the graphs of the elements of W.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, islice
+from itertools import combinations_with_replacement, count, islice, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
@@ -503,25 +503,15 @@ def product_invariant_check(a: LagrangianEquivalenceRelation,
 
 
 def rational_point_stream(num_vars: int) -> Iterable[Vector]:
-    """Deterministic stream of rational points covering growing integer boxes."""
+    """Deterministic stream of rational points covering growing integer boxes: the
+    shell max |x_i| = r of each radius r in turn, in lexicographic order."""
     if num_vars == 0:
         yield ()
         return
     for radius in count(0):
-        for point in _box_points(num_vars, radius):
-            yield point
-
-
-def _box_points(num_vars: int, radius: int) -> Iterable[Vector]:
-    values = list(range(-radius, radius + 1))
-    def rec(prefix: list) -> Iterable[Vector]:
-        if len(prefix) == num_vars:
-            if max((abs(x) for x in prefix), default=0) == radius:
-                yield tuple(Fraction(x) for x in prefix)
-            return
-        for v in values:
-            yield from rec(prefix + [v])
-    yield from rec([])
+        for p in product(range(-radius, radius + 1), repeat=num_vars):
+            if max(map(abs, p)) == radius:
+                yield tuple(map(Fraction, p))
 
 
 def independent_evaluation_points(polys: Sequence[Polynomial]) -> list[Vector]:

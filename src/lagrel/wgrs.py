@@ -285,12 +285,23 @@ class RootSystem:
                 return d
         raise ValueError("no anisotropic root connects the two isotropic roots")
 
+    def _shift_reflection(self, b: Vector, b_p: Vector, rootset: set[Vector]) -> Isometry:
+        """The reflection in b - b_p, or else in b + b_p, for non-orthogonal isotropic roots.
+
+        The shift axiom makes one of the two a root, and its reflection carries b to
+        b_p or -b_p; ValueError is raised when neither is in rootset.
+        """
+        for gamma in (tuple(x - y for x, y in zip(b, b_p)), tuple(x + y for x, y in zip(b, b_p))):
+            if gamma in rootset:
+                return self.reflection(gamma)
+        raise ValueError("shift axiom fails for a non-orthogonal isotropic pair")
+
     def two_step_witness(self, beta: Sequence[Rational], beta_p: Sequence[Rational]) -> Isometry:
         """w, a product of at most two anisotropic reflections, with w(beta) = +-beta_p.
 
-        In the orthogonal case w = s_gamma' s_gamma with the roots
-        gamma = beta - beta1 and gamma' = +-beta_p - beta1, where
-        beta1 = +-s_delta(beta) and delta comes from _connecting_anisotropic.
+        Each factor is a _shift_reflection.  In the orthogonal case beta1 = s_delta(beta),
+        with delta from _connecting_anisotropic, is non-orthogonal to both roots, and
+        w = s' o s with s from beta to beta1 and s' from s(beta) to beta_p.
         This w also satisfies w^2 = id and acts as the identity on
         span(beta, beta_p)-perp modulo span(beta, beta_p); each of these is
         checked, and a failed check raises AssertionError, under python -O too.
@@ -308,14 +319,8 @@ class RootSystem:
         neg_bp = tuple(-x for x in bp)
         if bp == b or neg_bp == b:
             return Isometry.identity(self.form)
-        pairing = self.form.pairing(b, bp)
-        if pairing != 0:
-            gamma = tuple(x - y for x, y in zip(b, bp))
-            if gamma not in rootset:
-                gamma = tuple(x + y for x, y in zip(b, bp))
-                if gamma not in rootset:
-                    raise ValueError("shift axiom fails for a non-orthogonal isotropic pair")
-            w = self.reflection(gamma)
+        if self.form.pairing(b, bp) != 0:
+            w = self._shift_reflection(b, bp, rootset)
             if w.apply(b) not in (bp, neg_bp):
                 raise AssertionError("two-step witness misses the target root")
             return w
@@ -323,18 +328,8 @@ class RootSystem:
         beta1 = self.reflection(delta).apply(b)
         if beta1 not in rootset:
             raise AssertionError("s_delta(beta) is not a root")
-        if tuple(x - y for x, y in zip(b, beta1)) not in rootset:
-            beta1 = tuple(-x for x in beta1)
-        gamma = tuple(x - y for x, y in zip(b, beta1))
-        if gamma not in rootset:
-            raise AssertionError("shift axiom fails on the first leg")
-        target = bp
-        if tuple(x - y for x, y in zip(target, beta1)) not in rootset:
-            target = neg_bp
-        gamma_p = tuple(x - y for x, y in zip(target, beta1))
-        if gamma_p not in rootset:
-            raise AssertionError("shift axiom fails on the second leg")
-        w = self.reflection(gamma_p).compose(self.reflection(gamma))
+        first = self._shift_reflection(b, beta1, rootset)
+        w = self._shift_reflection(first.apply(b), bp, rootset).compose(first)
         if w.apply(b) not in (bp, neg_bp):
             raise AssertionError("two-step witness misses the target root")
         if not w.compose(w).is_identity():
@@ -369,10 +364,7 @@ class RootSystem:
             )
             if beta is None:
                 raise ValueError("source iso-set is not maximal: nothing blocks the new pair")
-            gamma = tuple(x - y for x, y in zip(alpha, beta))
-            if gamma not in rootset:
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-            refl = self.reflection(gamma)
+            refl = self._shift_reflection(alpha, beta, rootset)
             current = IsoSet([refl.apply(p) for p in current.pairs])
             w = refl.compose(w)
         return w
@@ -381,23 +373,16 @@ class RootSystem:
 
     def relation_generators(self) -> list[LinearRelation]:
         """Graphs of the simple reflections, then E_{alpha-perp} for the first pair alpha of
-        each W-orbit in iso_pairs, walked under the simple reflections.  Their closure holds
+        each W-orbit in iso_pairs, linked by the simple reflections.  Their closure holds
         every reflection and, as graph(w) o E_{alpha-perp} o graph(w)^-1 = E_{(w alpha)-perp},
         every isotropic idempotent."""
-        simple = self.simple_reflections
-        gens = [graph(s) for s in simple]
-        seen: set[Vector] = set()
-        for a in self.iso_pairs:
-            if a not in seen:
-                gens.append(idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors([a]))))
-                seen.add(a)
-                stack = [a]
-                while stack:
-                    b = stack.pop()
-                    new = {_orient(s.apply(b)) for s in simple} - seen
-                    seen |= new
-                    stack += new
-        return gens
+        simple, pairs = self.simple_reflections, self.iso_pairs
+        index = {a: i for i, a in enumerate(pairs)}
+        moves = [{index[_orient(s.apply(a))] for s in simple} for a in pairs]
+        orbits = _linked_classes(range(len(pairs)), lambda i, j: j in moves[i])
+        return [graph(s) for s in simple] + [
+            idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors([pairs[orbit[0]]])))
+            for orbit in orbits]
 
     def build_relation(self, max_components: int = MAX_COMPONENTS,
                        check: bool = False) -> LagrangianEquivalenceRelation:

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, as_vector, orth_complement, solve_right
+from conftest import exceptional
+from lagrel.exact_linalg import (
+    BilinearForm,
+    Matrix,
+    Subspace,
+    as_vector,
+    basis_to_payload,
+    matrix_to_payload,
+    orth_complement,
+    solve_right,
+)
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
@@ -237,6 +249,32 @@ def test_two_step_rejects_orthogonal_components():
     assert rs.validate().ok and len(rs.indecomposable_components()) == 2
     with pytest.raises(ValueError):
         rs.two_step_witness((1, 0, -1, 0, 0), (0, 0, 0, 1, -1))
+
+
+WITNESS_SYSTEMS = ([("gl", m, n) for m in range(5) for n in range(5) if 2 <= m + n <= 6]
+                   + [("osp", p, q) for p in range(7) for q in (2, 4)]
+                   + ["D(2|1;1)", "D(2|1;2)", "D(2|1;1/3)", "G(3)"])
+# sha256 over each system's name, the two_step_witness matrix of every ordered pair of
+# its isotropic roots, the transport_isoset matrices (base vector 0) from its first maximal
+# iso-set to each maximal iso-set and back, and the spaces of its relation_generators(), for WITNESS_SYSTEMS
+WITNESS_DIGEST = "aa962fc1921ca4e80bf60b4d1626c3fe1e3cf10a595b792752e58a123a55be50"
+
+
+def test_witness_and_generator_bytes():
+    digest = hashlib.sha256()
+    for entry in WITNESS_SYSTEMS:
+        rs = exceptional(entry) if isinstance(entry, str) else catalog(*entry)
+        digest.update(f"{entry}\n".encode())
+        for b in rs.iso_roots:
+            for bp in rs.iso_roots:
+                digest.update(json.dumps(matrix_to_payload(rs.two_step_witness(b, bp).matrix)).encode())
+        zero = (0,) * rs.dim
+        first, *rest = rs.maximal_isosets()
+        for s, sp in [(first, sp) for sp in rest] + [(s, first) for s in rest]:
+            digest.update(json.dumps(matrix_to_payload(rs.transport_isoset(zero, s, sp).matrix)).encode())
+        for g in rs.relation_generators():
+            digest.update(json.dumps(basis_to_payload(g.space)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 def test_transport_isoset_identity_and_swap():
