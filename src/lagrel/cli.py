@@ -103,12 +103,15 @@ def _emit(payload: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _report_header(raw: bytes) -> dict:
-    return {
+def _report(raw: bytes, body: dict, out: str | None) -> int:
+    """Emit body under the header every report carries: the input's sha256, the version, the pairing."""
+    _emit({
         "input_digest": hashlib.sha256(raw).hexdigest(),
         "tool_version": __version__,
         "bilinear_convention": BILINEAR_CONVENTION,
-    }
+        **body,
+    }, out)
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -116,26 +119,21 @@ def cmd_analyze(args) -> int:
         raise ValueError("--x and --y must be given together")
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
-    ok_1reg, witness = rel.is_one_regular()
-    report = _report_header(raw)
-    report.update(
-        {
-            "n": rel.n,
-            "num_components": len(rel),
-            "weyl_order": len(rel.weyl_group),
-            "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
-            "discriminant": [subspace_to_payload(u) for u in rel.discriminant()],
-            "one_regular": ok_1reg,
-            "semiregular": rel.is_semiregular(),
-            "invariant_dimensions": [len(b) for b in islice(invariant_slices(rel), args.degree + 1)],
-        }
-    )
+    report = {
+        "n": rel.n,
+        "num_components": len(rel),
+        "weyl_order": len(rel.weyl_group),
+        "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
+        "discriminant": [subspace_to_payload(u) for u in rel.discriminant()],
+        "one_regular": rel.is_one_regular()[0],
+        "semiregular": rel.is_semiregular(),
+        "invariant_dimensions": [len(b) for b in islice(invariant_slices(rel), args.degree + 1)],
+    }
     if args.x is not None:
         x = _parse_vector(args.x)
         y = _parse_vector(args.y)
         report["separation"] = _separation_payload(separate(rel, x, y, args.dmax))
-    _emit(report, args.out)
-    return 0
+    return _report(raw, report, args.out)
 
 
 def _parse_vector(text: str):
@@ -155,43 +153,32 @@ def cmd_invariants(args) -> int:
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
     bases = list(islice(invariant_slices(rel), args.degree + 1))
-    report = _report_header(raw)
-    report.update(
-        {
-            "n": rel.n,
-            "invariant_dimensions": [len(b) for b in bases],
-            "bases": {str(d): [polynomial_to_payload(p) for p in b] for d, b in enumerate(bases)},
-        }
-    )
-    _emit(report, args.out)
-    return 0
+    report = {
+        "n": rel.n,
+        "invariant_dimensions": [len(b) for b in bases],
+        "bases": {str(d): [polynomial_to_payload(p) for p in b] for d, b in enumerate(bases)},
+    }
+    return _report(raw, report, args.out)
 
 
 def cmd_separate(args) -> int:
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
     result = separate(rel, _parse_vector(args.x), _parse_vector(args.y), args.dmax)
-    report = _report_header(raw)
-    report["separation"] = _separation_payload(result)
-    report["membership"] = result.status == "equivalent"
-    _emit(report, args.out)
-    return 0
+    report = {"separation": _separation_payload(result), "membership": result.status == "equivalent"}
+    return _report(raw, report, args.out)
 
 
 def cmd_discriminant(args) -> int:
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
     disc = discriminant_polynomial(rel)
-    report = _report_header(raw)
-    report.update(
-        {
-            "degree": disc.degree,
-            "polynomial": polynomial_to_payload(disc.polynomial),
-            "hyperplanes": [subspace_to_payload(h) for h in disc.hyperplanes],
-        }
-    )
-    _emit(report, args.out)
-    return 0
+    report = {
+        "degree": disc.degree,
+        "polynomial": polynomial_to_payload(disc.polynomial),
+        "hyperplanes": [subspace_to_payload(h) for h in disc.hyperplanes],
+    }
+    return _report(raw, report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,36 +195,29 @@ def cmd_wgrs_build(args) -> int:
 def cmd_wgrs_validate(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
-    report = rs.validate()
-    out = _report_header(raw)
-    out.update(
-        {
-            "valid": report.ok,
-            "failures": list(report.failures),
-            "num_roots": len(rs.roots),
-            "isotropic_roots": [vector_to_payload(r) for r in rs.iso_roots],
-        }
-    )
-    _emit(out, args.out)
-    return 0 if report.ok else 1
+    validation = rs.validate()
+    report = {
+        "valid": validation.ok,
+        "failures": list(validation.failures),
+        "num_roots": len(rs.roots),
+        "isotropic_roots": [vector_to_payload(r) for r in rs.iso_roots],
+    }
+    _report(raw, report, args.out)
+    return 0 if validation.ok else 1
 
 
 def cmd_wgrs_relation(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
     rel = rs.build_relation(args.max_components)
-    report = _report_header(raw)
-    report.update(
-        {
-            "n": rel.n,
-            "num_components": len(rel),
-            "weyl_order": len(rel.weyl_group),
-            "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
-            "components": [basis_to_payload(c.space) for c in rel.components],
-        }
-    )
-    _emit(report, args.out)
-    return 0
+    report = {
+        "n": rel.n,
+        "num_components": len(rel),
+        "weyl_order": len(rel.weyl_group),
+        "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
+        "components": [basis_to_payload(c.space) for c in rel.components],
+    }
+    return _report(raw, report, args.out)
 
 
 def cmd_wgrs_reduce(args) -> int:
@@ -259,16 +239,14 @@ def cmd_wgrs_classes(args) -> int:
     v = _parse_vector(args.v)
     vp = _parse_vector(args.vprime)
     related, witness = rs.class_membership(v, vp)
-    report = _report_header(raw)
-    report.update({"equivalent": related})
+    report = {"equivalent": related}
     if witness is not None:
         w, coeffs = witness
         report["witness"] = {
             "isometry": matrix_to_payload(w.matrix),
             "coefficients": [str(c) for c in coeffs],
         }
-    _emit(report, args.out)
-    return 0
+    return _report(raw, report, args.out)
 
 
 # ---------------------------------------------------------------------------

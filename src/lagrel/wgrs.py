@@ -130,6 +130,11 @@ class RootSystem:
         return tuple(sorted({_orient(v) for v in self.iso_roots}))
 
     @cached_property
+    def _root_set(self) -> frozenset[Vector]:
+        """The roots, for membership tests; built once per system."""
+        return frozenset(self.roots)
+
+    @cached_property
     def _iso_pair_rows(self) -> tuple[list[int], ...]:
         """iso_pairs with denominators cleared, for integer pairings."""
         return tuple(_int_rows(self.iso_pairs))
@@ -285,14 +290,14 @@ class RootSystem:
                 return d
         raise ValueError("no anisotropic root connects the two isotropic roots")
 
-    def _shift_reflection(self, b: Vector, b_p: Vector, rootset: set[Vector]) -> Isometry:
+    def _shift_reflection(self, b: Vector, b_p: Vector) -> Isometry:
         """The reflection in b - b_p, or else in b + b_p, for non-orthogonal isotropic roots.
 
         The shift axiom makes one of the two a root, and its reflection carries b to
-        b_p or -b_p; ValueError is raised when neither is in rootset.
+        b_p or -b_p; ValueError is raised when neither is a root.
         """
         for gamma in (tuple(x - y for x, y in zip(b, b_p)), tuple(x + y for x, y in zip(b, b_p))):
-            if gamma in rootset:
+            if gamma in self._root_set:
                 return self.reflection(gamma)
         raise ValueError("shift axiom fails for a non-orthogonal isotropic pair")
 
@@ -311,8 +316,7 @@ class RootSystem:
         self.require_valid()
         b = as_vector(beta)
         bp = as_vector(beta_p)
-        rootset = set(self.roots)
-        if b not in rootset or bp not in rootset:
+        if b not in self._root_set or bp not in self._root_set:
             raise ValueError("arguments must be roots")
         if self.form.pairing(b, b) != 0 or self.form.pairing(bp, bp) != 0:
             raise ValueError("arguments must be isotropic roots")
@@ -320,16 +324,16 @@ class RootSystem:
         if bp == b or neg_bp == b:
             return Isometry.identity(self.form)
         if self.form.pairing(b, bp) != 0:
-            w = self._shift_reflection(b, bp, rootset)
+            w = self._shift_reflection(b, bp)
             if w.apply(b) not in (bp, neg_bp):
                 raise AssertionError("two-step witness misses the target root")
             return w
         delta = self._connecting_anisotropic(b, bp)
         beta1 = self.reflection(delta).apply(b)
-        if beta1 not in rootset:
+        if beta1 not in self._root_set:
             raise AssertionError("s_delta(beta) is not a root")
-        first = self._shift_reflection(b, beta1, rootset)
-        w = self._shift_reflection(first.apply(b), bp, rootset).compose(first)
+        first = self._shift_reflection(b, beta1)
+        w = self._shift_reflection(first.apply(b), bp).compose(first)
         if w.apply(b) not in (bp, neg_bp):
             raise AssertionError("two-step witness misses the target root")
         if not w.compose(w).is_identity():
@@ -349,7 +353,6 @@ class RootSystem:
         maximal = self.maximal_isosets(vv)
         if s not in maximal or s_prime not in maximal:
             raise ValueError("iso-set is not a maximal iso-set orthogonal to the base vector")
-        rootset = set(self.roots)
         current = s
         w = Isometry.identity(self.form)
         guard = 0
@@ -364,7 +367,7 @@ class RootSystem:
             )
             if beta is None:
                 raise ValueError("source iso-set is not maximal: nothing blocks the new pair")
-            refl = self._shift_reflection(alpha, beta, rootset)
+            refl = self._shift_reflection(alpha, beta)
             current = IsoSet([refl.apply(p) for p in current.pairs])
             w = refl.compose(w)
         return w

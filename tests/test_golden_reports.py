@@ -15,7 +15,9 @@ pin `analyze --degree 4` on generator files (the README's gl(1|1) example
 and the gl(1|1) x gl(2|1) product), recorded before the relation's Weyl
 group was read off its components.  One more pins the `wgrs build` payloads
 of the gl and osp catalog over a small range, recorded before the catalog
-roots were generated from their defining rules.
+roots were generated from their defining rules.  Two more pin `wgrs validate`
+on the gl(2|1) catalog file and on that file with its first root dropped,
+recorded before the seven report commands shared one envelope writer.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ GOLDEN = {
     "gl-4-1 wgrs relation": "64a8d760872a1fca625781cae291e8d6d74a9eb86b036ce305529b3a5c85f709",
     "readme gl-1-1 analyze": "499ee95f6ad93401f2ea6c85edece32c3bd5777110bbe4566ffc9206c2cc0c95",
     "gl-1-1 x gl-2-1 analyze": "3482404e57e14f6217822334af651bfb7938eb58020e413220273c7ed1634608",
+    "gl-2-1 wgrs validate": "0080cb1cf8d072773398eb9c39eeff5e24a9e19f43ec749b0fca65af2a3aadcc",
+    "gl-2-1 wgrs validate first root dropped": "bacbbc4807cbe5c144279ffbd09939adab9c2907d52518e33de8fa006657751e",
 }
 
 # reports on larger systems: invariant slices of degree 6 to 8, then commands
@@ -196,6 +200,23 @@ def test_generator_file_report_bytes(tmp_path):
         if _sha256(out) != GOLDEN[name]:
             mismatched.append(name)
     assert mismatched == []
+
+
+def test_validate_report_bytes(catalog_files, tmp_path):
+    """`wgrs validate` exits 0 on a valid system and 1, still writing its report, on an invalid one."""
+    out = tmp_path / "report.json"
+    assert main(["wgrs", "validate", str(catalog_files["gl-2-1"]), "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN["gl-2-1 wgrs validate"]
+    payload = json.loads(catalog_files["gl-2-1"].read_text())
+    payload["roots"] = payload["roots"][1:]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["wgrs", "validate", str(broken), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["valid"] is False
+    assert len(report["failures"]) == 5
+    assert report["failures"][0] == "symmetry: -(1/1, 0/1, -1/1) missing"
+    assert _sha256(out) == GOLDEN["gl-2-1 wgrs validate first root dropped"]
 
 
 # relation_to_payload of the first 50 pairs of `verify monoid --seed 1`

@@ -6,6 +6,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -20,6 +22,7 @@ from lagrel.exact_linalg import (
     orth_complement,
     solve_right,
 )
+from lagrel.invariants import invariant_slices
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
@@ -454,6 +457,31 @@ def rebased(rs, seed):
             break
     t_inv = t.inverse()
     return RootSystem(BilinearForm(t_inv.transpose() @ rs.form.gram @ t_inv), [t.apply(r) for r in rs.roots])
+
+
+BASIS_CHANGE = [("gl", 1, 1), ("gl", 2, 1), ("gl", 1, 2), ("gl", 2, 2), ("gl", 3, 1), ("gl", 3, 0),
+                ("osp", 1, 2), ("osp", 2, 2), ("osp", 3, 2)]
+
+
+def basis_free_summary(rs):
+    """What a change of basis must keep: the component count and atypicality histogram, |W| read
+    off the relation and closed from the roots, the discriminant's hyperplane count, 1-regularity,
+    semiregularity and the slice dimensions to degree 5 (slice integers grow in a rational basis)."""
+    rel = rs.build_relation()
+    return (len(rel), rel.atypicality_histogram(), len(rel.weyl_group), len(rs.weyl_group),
+            len(rel.discriminant()), rel.is_one_regular()[0], rel.is_semiregular(),
+            [len(b) for b in islice(invariant_slices(rel), 6)])
+
+
+@lru_cache(maxsize=None)
+def catalog_summary(entry):
+    return basis_free_summary(catalog(*entry))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("entry", BASIS_CHANGE, ids=lambda e: "-".join(map(str, e)))
+def test_basis_change_keeps_the_summary(entry, seed):
+    assert basis_free_summary(rebased(catalog(*entry), seed)) == catalog_summary(entry)
 
 
 def membership_cases(rs, seed):
