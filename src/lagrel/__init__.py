@@ -28,7 +28,6 @@ from .linear_relations import (
     idempotent_relation,
     inverse,
     relation_from_data,
-    relation_pairing,
 )
 from .relation_monoid import (
     ClosureBoundExceeded,
@@ -46,7 +45,6 @@ from .invariants import (
     product_invariant_check,
     restriction_map,
     separate,
-    verify_invariants,
     weyl_invariant_space,
 )
 from .wgrs import IsoSet, RootSystem, catalog
@@ -87,11 +85,9 @@ __all__ = [
     "quotient",
     "rational",
     "relation_from_data",
-    "relation_pairing",
     "restriction_map",
     "rref",
     "separate",
-    "verify_invariants",
     "weyl_invariant_space",
     "__version__",
 ]

@@ -31,7 +31,6 @@ from .exact_linalg import (
     Vector,
     _echelon,
     _int_rows,
-    _matrix,
     _nullspace,
     _pivot,
     as_vector,
@@ -219,14 +218,6 @@ def polynomial_to_payload(poly: Polynomial) -> dict[str, str]:
     }
 
 
-def polynomial_from_payload(payload: dict, num_vars: int) -> Polynomial:
-    terms = {}
-    for key, val in payload.items():
-        exp = tuple(int(k) for k in key.split(",")) if key else ()
-        terms[exp] = rational(val)
-    return Polynomial(num_vars, terms)
-
-
 # ---------------------------------------------------------------------------
 # Graded invariant solver.
 #
@@ -356,46 +347,11 @@ def invariant_space(relation: LagrangianEquivalenceRelation, degree: int) -> lis
     return next(islice(invariant_slices(relation), degree, None))
 
 
-def verify_invariants(relation: LagrangianEquivalenceRelation, polys: Sequence[Polynomial]) -> bool:
-    """Recheck symbolically that every polynomial is invariant on every component."""
-    n = relation.n
-    for comp in relation.components:
-        d = comp.space.dim
-        m1 = _matrix(1, ([comp.space.rows[k][i] for k in range(d)] for i in range(n)), d)
-        m2 = _matrix(1, ([comp.space.rows[k][n + i] for k in range(d)] for i in range(n)), d)
-        for f in polys:
-            if f.compose_linear(m1) != f.compose_linear(m2):
-                return False
-    return True
-
-
 def weyl_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynomial]:
     """Slice of C[V]^W: the invariants of the relation made of the graphs of W."""
     if not group:
         raise ValueError("need at least one isometry to infer the space")
     return invariant_space(LagrangianEquivalenceRelation(group[0].form, map(graph, group)), degree)
-
-
-def reynolds_invariant_space(group: Sequence[Isometry], degree: int) -> list[Polynomial]:
-    """Span of the group averages of all monomials (cross-check oracle)."""
-    if not group:
-        raise ValueError("need at least one isometry to infer the space")
-    n = group[0].form.dim
-    mons = monomials(n, degree)
-    if degree == 0:
-        return [Polynomial.one(n)]
-    averages = []
-    order = len(group)
-    for e in mons:
-        mono = Polynomial.monomial(n, e)
-        total = Polynomial.zero(n)
-        for s in group:
-            total = total + mono.compose_linear(s.matrix)
-        averages.append(total.scale(Fraction(1, order)))
-    index = {e: i for i, e in enumerate(mons)}
-    rows = [p.coefficient_row(index, len(mons)) for p in averages if not p.is_zero()]
-    ech = _echelon(_int_rows(rows))
-    return _rows_to_polynomials(ech, mons, n)
 
 
 def span_rows(polys: Sequence[Polynomial], degree: int) -> tuple:

@@ -27,8 +27,6 @@ from .exact_linalg import (
     _int_vector,
     _matrix,
     as_vector,
-    basis_to_payload,
-    matrix_to_payload,
     orth_complement,
     quotient,
     solve_right,
@@ -130,16 +128,6 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int)
                 group.add(prod)
                 queue.append(prod)
     return tuple(sorted((Isometry(form, m) for m in group), key=lambda s: s.sort_key()))
-
-
-def relation_pairing(
-    form: BilinearForm,
-    first: tuple[Sequence[Rational], Sequence[Rational]],
-    second: tuple[Sequence[Rational], Sequence[Rational]],
-) -> Fraction:
-    """Pairing on V x V whose Lagrangian subspaces are the relations: <v|v'> - <w|w'>."""
-    (v, w), (vp, wp) = first, second
-    return form.pairing(v, vp) - form.pairing(w, wp)
 
 
 class LinearRelation:
@@ -361,13 +349,6 @@ def relation_from_data(form: BilinearForm, v0: Subspace, v0p: Subspace, alpha: M
 # ---------------------------------------------------------------------------
 # JSON payloads.
 # ---------------------------------------------------------------------------
-
-
-def relation_to_payload(rel: LinearRelation) -> dict:
-    return {
-        "form": matrix_to_payload(rel.form.gram),
-        "space": basis_to_payload(rel.space),
-    }
 
 
 def relation_from_payload(payload: dict, form: BilinearForm | None = None) -> LinearRelation:

@@ -233,12 +233,6 @@ class RootSystem:
 
     # -- combinatorics ----------------------------------------------------------
 
-    def indecomposable_components(self) -> tuple[tuple[Vector, ...], ...]:
-        """Connected components of the non-orthogonality graph (each symmetric)."""
-        groups = _linked_classes(
-            self.roots, lambda a, b: self.form.pairing(a, b) != 0 or b == tuple(-x for x in a))
-        return tuple(sorted(tuple(sorted(g)) for g in groups))
-
     @cached_property
     def iso_sets(self) -> tuple[IsoSet, ...]:
         """All iso-sets, the empty one included, sorted; enumerated once per system."""
@@ -410,13 +404,6 @@ class RootSystem:
     def described_components(self) -> set[Subspace]:
         """Spaces of graph(w) o E_{S-perp} over all w in W and iso-sets S."""
         return {rel.space for _, _, rel in self._descriptions()}
-
-    def describe_component(self, comp: LinearRelation) -> tuple[Isometry, IsoSet]:
-        """Finite search for (w, S) with comp = graph(w) o E_{S-perp}."""
-        for w, s, rel in self._descriptions():
-            if rel.space == comp.space:
-                return w, s
-        raise ValueError("component is not of the form graph(w) o E_{S-perp}")
 
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.

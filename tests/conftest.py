@@ -1,5 +1,6 @@
 """Shared fixtures: catalog relations are built once per session, and so is the
-root data of the exceptional families, which the catalog does not carry."""
+root data of the exceptional families, which the catalog does not carry; and the
+JSON payload of one relation, which the package reads but never writes."""
 
 from __future__ import annotations
 
@@ -10,11 +11,19 @@ from itertools import product
 import pytest
 
 from lagrel import BilinearForm, Matrix, RootSystem, catalog
+from lagrel.exact_linalg import basis_to_payload, matrix_to_payload
 
 
 @lru_cache(maxsize=None)
 def built_relation(name: str, m: int, n: int):
     return catalog(name, m, n).build_relation()
+
+
+def relation_to_payload(rel) -> dict:
+    return {
+        "form": matrix_to_payload(rel.form.gram),
+        "space": basis_to_payload(rel.space),
+    }
 
 
 EXCEPTIONAL = ["D(2|1;1)", "D(2|1;2)", "D(2|1;1/3)", "G(3)", "F(4)"]

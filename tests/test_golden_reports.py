@@ -29,9 +29,9 @@ import pytest
 
 from lagrel.cli import main
 from lagrel.exact_linalg import matrix_to_payload
-from lagrel.linear_relations import random_pairs, relation_to_payload
+from lagrel.linear_relations import random_pairs
 
-from conftest import built_relation
+from conftest import built_relation, relation_to_payload
 
 # system -> (unrelated pair, related pair), as comma-separated rationals
 POINTS = {

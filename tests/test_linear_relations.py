@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import relation_to_payload
 from lagrel import linear_relations
+from lagrel.cli import monoid_checks
 from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
 from lagrel.linear_relations import (
     Isometry,
@@ -27,13 +29,17 @@ from lagrel.linear_relations import (
     random_rational,
     relation_from_data,
     relation_from_payload,
-    relation_pairing,
-    relation_to_payload,
     standard_form,
     suite_form,
 )
 
 GL11 = BilinearForm.diagonal([1, -1])
+
+
+def relation_pairing(form, first, second):
+    """Pairing on V x V whose Lagrangian subspaces are the relations: <v|v'> - <w|w'>."""
+    (v, w), (vp, wp) = first, second
+    return form.pairing(v, vp) - form.pairing(w, wp)
 
 
 def iso_line():
@@ -247,6 +253,33 @@ def test_round_trip_computes_each_quotient_once():
         shared += distinct == 1
         assert (quotient.cache_info().misses, quotient.cache_info().hits) == (distinct, 4 - distinct)
     assert shared >= 5
+
+
+def rebase(rel, form, t):
+    """(T x T) rel over form, the pairing in the coordinates x' = T x."""
+    n = t.rows
+    return LinearRelation(form, Subspace.from_vectors([t.apply(r[:n]) + t.apply(r[n:]) for r in rel.space.rows]))
+
+
+def test_monoid_checks_hold_beyond_diagonal_forms():
+    # the corpus draws only diagonal forms; in the coordinates x' = T x of a seeded
+    # invertible integer T the form is T^-T G T^-1 and each relation (T x T) L
+    rng = random.Random(26)
+    diagonal_forms = 0
+    for form, a, b in random_pairs(1, 300):
+        n = form.dim
+        while True:
+            t = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], cols=n)
+            if t.rank() == n:
+                break
+        t_inv = t.inverse()
+        moved = BilinearForm(t_inv.transpose() @ form.gram @ t_inv)
+        diagonal_forms += all(moved.gram.entries[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        c, checks = monoid_checks(form, a, b)
+        moved_c, moved_checks = monoid_checks(moved, rebase(a, moved, t), rebase(b, moved, t))
+        assert moved_checks == checks
+        assert moved_c == rebase(c, moved, t)
+    assert diagonal_forms < 30
 
 
 # The plain corpus generator, kept as the reference: each isometry starts from the identity,

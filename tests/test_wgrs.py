@@ -11,7 +11,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import exceptional
+from conftest import built_relation, exceptional
 from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
@@ -22,6 +22,7 @@ from lagrel.exact_linalg import (
     orth_complement,
     solve_right,
 )
+from lagrel.cli import _tally, reduction_checks
 from lagrel.invariants import invariant_slices
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
@@ -30,7 +31,7 @@ from lagrel.linear_relations import (
     graph,
     idempotent_relation,
 )
-from lagrel.relation_monoid import closure
+from lagrel.relation_monoid import _linked_classes, closure
 from lagrel.wgrs import (
     IsoSet,
     RootSystem,
@@ -42,6 +43,12 @@ from lagrel.wgrs import (
 
 def neg(v):
     return tuple(-x for x in v)
+
+
+def indecomposable_components(rs):
+    """Connected components of the non-orthogonality graph (each symmetric)."""
+    groups = _linked_classes(rs.roots, lambda a, b: rs.form.pairing(a, b) != 0 or b == neg(a))
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
 
 
 def test_catalog_gl11():
@@ -160,14 +167,14 @@ def test_gl_component_counts_have_closed_forms(entry):
 
 
 def test_indecomposable_components():
-    assert len(catalog("gl", 1, 1).indecomposable_components()) == 1
-    assert len(catalog("gl", 2, 2).indecomposable_components()) == 1
+    assert len(indecomposable_components(catalog("gl", 1, 1))) == 1
+    assert len(indecomposable_components(catalog("gl", 2, 2))) == 1
     # orthogonal union of two copies of gl(1|1)
     form = BilinearForm.diagonal([1, -1, 1, -1])
     roots = [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)]
     rs = RootSystem(form, roots)
     assert rs.validate().ok
-    assert len(rs.indecomposable_components()) == 2
+    assert len(indecomposable_components(rs)) == 2
 
 
 def test_maximal_isosets_gl11():
@@ -249,7 +256,7 @@ def test_two_step_rejects_orthogonal_components():
     gl21 = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1)]
     roots = [r + (0, 0) for r in gl21] + [(0, 0, 0, 1, -1), (0, 0, 0, -1, 1)]
     rs = RootSystem(form, roots)
-    assert rs.validate().ok and len(rs.indecomposable_components()) == 2
+    assert rs.validate().ok and len(indecomposable_components(rs)) == 2
     with pytest.raises(ValueError):
         rs.two_step_witness((1, 0, -1, 0, 0), (0, 0, 0, 1, -1))
 
@@ -582,7 +589,7 @@ def test_weyl_group_is_built_once():
 def test_describe_component(gl21):
     rs = catalog("gl", 2, 1)
     for comp in gl21.components:
-        w, s = rs.describe_component(comp)
+        w, s = next((w, s) for w, s, rel in rs._descriptions() if rel.space == comp.space)
         v0 = orth_complement(rs.form, s.span_in(rs.dim))
         from lagrel.linear_relations import compose, graph, idempotent_relation
 
@@ -616,6 +623,34 @@ def test_reduce_by_root_gl22_is_gl11():
 def test_reduce_by_root_rejects_anisotropic():
     with pytest.raises(ValueError):
         catalog("gl", 2, 1).reduce_by_root((1, -1, 0))
+
+
+# osp(2m|2n) with m >= 2 against osp(3|2); `verify reduction` runs only gl(1|1), gl(2|1) and gl(2|2)
+OSP_REDUCTIONS = [("osp", 3, 2), ("osp", 4, 2), ("osp", 6, 2)]
+
+
+@lru_cache(maxsize=None)
+def reduction_tally(entry):
+    return _tally(reduction_checks(catalog(*entry), built_relation(*entry)))
+
+
+@pytest.mark.parametrize("entry", OSP_REDUCTIONS, ids=lambda e: "-".join(map(str, e)))
+def test_reduction_filters_and_semiregularity_on_osp(entry):
+    tally = reduction_tally(entry)
+    assert tally["semiregular"] == (1, 0)
+    assert tally["reduction_filters"][0] > 0 and tally["reduction_filters"][1] == 0
+
+
+# per isotropic pair, rel.reduce(alpha-perp) has more components than rs.reduce_by_root(alpha)'s relation
+SQUARE_FAILURES = {("osp", 4, 2): "0 of 4 pass: 2 components against 1",
+                   ("osp", 6, 2): "0 of 6 pass: 8 components against 4"}
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, marks=pytest.mark.xfail(strict=True, reason=SQUARE_FAILURES[e])) if e in SQUARE_FAILURES else e
+    for e in OSP_REDUCTIONS], ids=lambda e: "-".join(map(str, e)))
+def test_reduction_square_on_osp(entry):
+    assert reduction_tally(entry)["reduction_square"] == (len(catalog(*entry).iso_pairs), 0)
 
 
 def test_payload_round_trip():
