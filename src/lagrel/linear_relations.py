@@ -94,9 +94,6 @@ class Isometry:
     def is_identity(self) -> bool:
         return self.matrix == Matrix.identity(self.form.dim)
 
-    def sort_key(self):
-        return self.matrix.entries
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Isometry) and self.form == other.form and self.matrix == other.matrix
 
@@ -127,7 +124,13 @@ def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int)
                     raise ClosureBoundExceeded("Weyl group generation exceeded its bound")
                 group.add(prod)
                 queue.append(prod)
-    return tuple(sorted((Isometry(form, m) for m in group), key=lambda s: s.sort_key()))
+    return _sorted_group([Isometry(form, m) for m in group])
+
+
+def _sorted_group(isos: Sequence[Isometry]) -> tuple[Isometry, ...]:
+    """isos in their entries' order, each entry x/d compared as the integer x*(L/d), L the lcm of the d."""
+    big = lcm(*(g.matrix.den for g in isos))
+    return tuple(sorted(isos, key=lambda g: tuple(x * (big // g.matrix.den) for row in g.matrix.ints for x in row)))
 
 
 class LinearRelation:
@@ -446,14 +449,18 @@ def random_coisotropic(form: BilinearForm, rng: random.Random) -> Subspace:
     return orth_complement(form, span)
 
 
-def random_lagrangian(form: BilinearForm, rng: random.Random) -> LinearRelation:
-    """g o E_V0 = {(x, g y) : (x, y) in E_V0}, read off E's rows (g = M/d gives rows (d x | M y))."""
-    e = idempotent_relation(form, random_coisotropic(form, rng))
-    g = random_isometry(form, rng).matrix
-    n = form.dim
+def _then_isometry(rel: LinearRelation, g: Matrix) -> LinearRelation:
+    """graph(g) o rel = {(x, g y) : (x, y) in rel}, read off rel's rows: g = M/d gives rows (d x | M y)."""
+    n = rel.n
     rows = (tuple(g.den * x for x in r[:n]) + tuple(sum(map(mul, m, r[n:])) for m in g.ints)
-            for r in e.space.rows)
-    return LinearRelation(form, Subspace(2 * n, rows))
+            for r in rel.space.rows)
+    return LinearRelation(rel.form, Subspace(2 * n, rows))
+
+
+def random_lagrangian(form: BilinearForm, rng: random.Random) -> LinearRelation:
+    """g o E_V0 for a random coisotropic V0 and a random isometry g."""
+    e = idempotent_relation(form, random_coisotropic(form, rng))
+    return _then_isometry(e, random_isometry(form, rng).matrix)
 
 
 def random_pairs(seed: int, count: int) -> Iterator[tuple[BilinearForm, LinearRelation, LinearRelation]]:

@@ -34,6 +34,7 @@ from .linear_relations import (
     ClosureBoundExceeded,
     Isometry,
     LinearRelation,
+    _sorted_group,
     compose,
     diagonal,
     inverse,
@@ -109,8 +110,7 @@ class LagrangianEquivalenceRelation:
         In a closed component set the invertible components form a group, so W
         is read off the components; verify_closed() audits the closedness.
         """
-        isos = (isometry_of_graph(c) for c in self.components if c.atypicality == 0)
-        return tuple(sorted(isos, key=lambda s: s.sort_key()))
+        return _sorted_group([isometry_of_graph(c) for c in self.components if c.atypicality == 0])
 
     def atypicality_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(c.atypicality for c in self.components).items()))
@@ -398,18 +398,19 @@ def closure(form: BilinearForm, generators: Iterable[LinearRelation],
     while queue:
         rel, depth = queue.popleft()
         if depth >= MAX_ROUNDS:
-            raise ClosureBoundExceeded(
-                f"closure exceeded {MAX_ROUNDS} rounds; the closure may be infinite"
-            )
+            raise ClosureBoundExceeded(f"closure exceeded {MAX_ROUNDS} rounds; the closure may be infinite")
         for g in gens:
             prod = compose(rel, g)
-            if prod.space in pool:
-                continue
-            if len(pool) >= max_components:
-                raise ClosureBoundExceeded(
-                    f"closure exceeded {max_components} components; "
-                    "the closure may be infinite"
-                )
-            pool[prod.space] = prod
-            queue.append((prod, depth + 1))
+            if _admit(pool, prod, max_components):
+                queue.append((prod, depth + 1))
     return LagrangianEquivalenceRelation(form, pool.values(), generators=tuple(gens))
+
+
+def _admit(pool: dict[Subspace, LinearRelation], rel: LinearRelation, max_components: int) -> bool:
+    """Add rel to pool under its space if new, and say so; a new one past max_components raises ClosureBoundExceeded."""
+    if rel.space in pool:
+        return False
+    if len(pool) >= max_components:
+        raise ClosureBoundExceeded(f"closure exceeded {max_components} components; the closure may be infinite")
+    pool[rel.space] = rel
+    return True

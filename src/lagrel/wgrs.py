@@ -4,9 +4,9 @@ A root system here is a finite symmetric set of nonzero rational vectors with
 integrality under reflections in anisotropic roots and the plus-or-minus
 shift axiom for isotropic ones.  The induced relation is generated by the
 Weyl reflections together with the translation idempotents E_{alpha-perp}
-for isotropic alpha.  A closure starts from fewer of them: the simple
-reflections and one E_{alpha-perp} per W-orbit of isotropic pairs, which
-give the same relation, hence the same invariants.
+for isotropic alpha; build_relation reads its components graph(w) o E_{S-perp}
+off w in W and iso-sets S.  Its generators, their closure the check, are the
+simple reflections and one E_{alpha-perp} per W-orbit of isotropic pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .exact_linalg import (
 from .linear_relations import (
     Isometry,
     LinearRelation,
-    compose,
+    _then_isometry,
     generate_group,
     graph,
     idempotent_relation,
@@ -44,6 +44,7 @@ from .linear_relations import (
 from .relation_monoid import (
     MAX_COMPONENTS,
     LagrangianEquivalenceRelation,
+    _admit,
     _linked_classes,
     closure,
 )
@@ -218,12 +219,9 @@ class RootSystem:
 
     @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
-        """W, closed from the simple reflections by generate_group once per system.
-
-        The graphs of W are components of the system's relation, so W fits the
-        relation's default bound MAX_COMPONENTS; past it ClosureBoundExceeded
-        is raised.
-        """
+        """W, closed from the simple reflections by generate_group once per system.  Its graphs are
+        components of the relation, so past the relation's default bound MAX_COMPONENTS it raises
+        ClosureBoundExceeded; build_relation walks W first."""
         return generate_group(self.form, self.simple_reflections, MAX_COMPONENTS)
 
     @cached_property
@@ -383,10 +381,18 @@ class RootSystem:
 
     def build_relation(self, max_components: int = MAX_COMPONENTS,
                        check: bool = False) -> LagrangianEquivalenceRelation:
-        """Closure of relation_generators(); with check=True, AssertionError unless describes() it."""
+        """The components of _descriptions(), bounded as by closure (W is walked first, under its
+        own bound), generated by relation_generators(); with check=True, AssertionError unless
+        their closure has the same components."""
+        if max_components <= 0:
+            raise ValueError("closure bounds must be positive")
         self.require_valid()
-        rel = closure(self.form, self.relation_generators(), max_components)
-        if check and not self.describes(rel):
+        gens = self.relation_generators()
+        pool: dict[Subspace, LinearRelation] = {}
+        for _, _, comp in self._descriptions():
+            _admit(pool, comp, max_components)
+        rel = LagrangianEquivalenceRelation(self.form, pool.values(), gens)
+        if check and closure(self.form, gens, max_components) != rel:
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 
@@ -395,11 +401,11 @@ class RootSystem:
         return {c.space for c in rel.components} == self.described_components()
 
     def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
-        """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily."""
+        """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily; each read off E's rows."""
         for s in self.iso_sets:
             e = idempotent_relation(self.form, orth_complement(self.form, s.span_in(self.dim)))
             for w in self.weyl_group:
-                yield w, s, compose(e, graph(w))
+                yield w, s, _then_isometry(e, w.matrix)
 
     def described_components(self) -> set[Subspace]:
         """Spaces of graph(w) o E_{S-perp} over all w in W and iso-sets S."""

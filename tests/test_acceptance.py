@@ -104,7 +104,7 @@ def tally_catalog(checks, built_catalog):
 
 @pytest.fixture(scope="module")
 def wgrs_tally(built_catalog):
-    return tally_catalog(wgrs_checks, built_catalog)
+    return tally_catalog(lambda rs, rel: wgrs_checks(rs), built_catalog)
 
 
 @pytest.fixture(scope="module")

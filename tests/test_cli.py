@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from lagrel.cli import _build_parser, main
 from lagrel.exact_linalg import matrix_to_payload
 
 from conftest import built_relation
+from test_golden_reports import GOLDEN
 
 
 def run(capsys, *argv):
@@ -414,15 +416,30 @@ def test_internal_checks_run_under_python_O(name):
 
 
 def test_weyl_group_bound_exit_2(tmp_path, capsys, monkeypatch):
-    # |W| of gl(3|0) is 6, past a bound of 5
+    # |W| of gl(3|0) is 6, past a bound of 5; a roots file's relation walks W before its
+    # components, so it reports the Weyl group's bound even under a larger --max-components
     from lagrel import wgrs
 
     path = tmp_path / "gl30.json"
     code, _, _ = run(capsys, "wgrs", "build", "gl", "3", "0", "--out", str(path))
     assert code == 0
     monkeypatch.setattr(wgrs, "MAX_COMPONENTS", 5)
-    code, out, err = run(capsys, "wgrs", "classes", str(path), "--v", "1,0,0", "--vprime", "0,1,0")
-    assert (code, out, err) == (2, "", "error: Weyl group generation exceeded its bound\n")
+    for argv in (("wgrs", "classes", str(path), "--v", "1,0,0", "--vprime", "0,1,0"),
+                 ("wgrs", "relation", str(path), "--max-components", "100")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: Weyl group generation exceeded its bound\n"), argv
+
+
+def test_relation_bound_is_the_component_count(tmp_path, capsys):
+    # gl(4|1) has 120 components, the diagonal counted: a bound of 119 stops the build
+    path = tmp_path / "gl41.json"
+    code, _, _ = run(capsys, "wgrs", "build", "gl", "4", "1", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "wgrs", "relation", str(path), "--max-components", "119")
+    assert (code, out, err) == (2, "", "error: closure exceeded 119 components; the closure may be infinite\n")
+    code, out, err = run(capsys, "wgrs", "relation", str(path), "--max-components", "120")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["gl-4-1 wgrs relation"]
 
 
 def test_closure_bound_counts_the_generators_exit_2(tmp_path, capsys):

@@ -331,6 +331,24 @@ def test_build_relation_description_check():
         assert rel.verify_closed()
 
 
+DESCRIBED_SYSTEMS = ([("gl", m, n) for m in range(6) for n in range(6) if 1 <= m + n <= 5]
+                     + [("osp", p, q) for p, q in ((1, 2), (2, 2), (3, 2), (4, 2), (3, 4))]
+                     + ["D(2|1;1)", "D(2|1;2)", "D(2|1;1/3)", "G(3)", "F(4)"])
+
+
+@pytest.mark.parametrize("entry", DESCRIBED_SYSTEMS, ids=str)
+def test_description_is_the_closure(entry):
+    # build_relation reads the components off the (w, S) description; the closure of
+    # the generators is the independent reference, and verify_closed() audits the
+    # smaller sets (F(4)'s 864 components would take over a minute)
+    rs = exceptional(entry) if isinstance(entry, str) else catalog(*entry)
+    rel = rs.build_relation()
+    reference = closure(rs.form, rs.relation_generators())
+    assert (rel.components, rel.generators) == (reference.components, reference.generators)
+    if len(rel) <= 96:
+        assert rel.verify_closed()
+
+
 def test_component_count_matches_pair_count(gl21):
     rs = catalog("gl", 2, 1)
     assert len(rs.described_components()) == len(gl21)
