@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
@@ -65,21 +64,14 @@ class Isometry:
 
     @classmethod
     def reflection(cls, form: BilinearForm, v: Sequence[Rational]) -> "Isometry":
-        """Reflection in an anisotropic vector: x -> x - (2<v|x>/<v|v>) v.
-
-        For v a multiple of the integer vector u and H = gram.ints, the matrix
-        is (N I - 2 u (H u)^T) / N with N = u^T H u.
-        """
+        """Reflection in an anisotropic vector: x -> x - (2<v|x>/<v|v>) v."""
         _, u = _int_vector(v)
         if len(u) != form.dim:
             raise ValueError("vector length disagrees with form dimension")
-        norm = form.int_pairing(u, u)
-        if norm == 0:
+        refl = _reflection(form, u)
+        if refl is None:
             raise ValueError("cannot reflect in an isotropic vector")
-        hu = [sum(map(mul, row, u)) for row in form.gram.ints]
-        n = form.dim
-        ints = [[(norm if i == j else 0) - 2 * u[i] * hu[j] for j in range(n)] for i in range(n)]
-        return cls(form, _matrix(norm, ints, n))
+        return refl
 
     def apply(self, v: Sequence[Rational]) -> Vector:
         return self.matrix.apply(v)
@@ -102,6 +94,21 @@ class Isometry:
 
     def __repr__(self) -> str:
         return f"Isometry({self.matrix!r})"
+
+
+def _reflection(form: BilinearForm, u: Sequence[int]) -> Isometry | None:
+    """The reflection in the integer vector u, None when u is isotropic.
+
+    With H = gram.ints the matrix is (N I - 2 u (H u)^T) / N for N = u^T H u; it
+    depends only on the line of u.
+    """
+    norm = form.int_pairing(u, u)
+    if norm == 0:
+        return None
+    hu = [sum(map(mul, row, u)) for row in form.gram.ints]
+    n = form.dim
+    ints = [[(norm if i == j else 0) - 2 * u[i] * hu[j] for j in range(n)] for i in range(n)]
+    return Isometry(form, _matrix(norm, ints, n))
 
 
 def generate_group(form: BilinearForm, gens: Iterable[Isometry], max_order: int) -> tuple[Isometry, ...]:
@@ -389,25 +396,21 @@ def suite_form(dim: int) -> BilinearForm:
     return standard_form(dim - neg, neg)
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
+def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int = 3) -> Isometry | None:
+    """A product of 0..max_reflections random reflections, the first one applied first; None for none.
 
-
-def random_anisotropic_vector(form: BilinearForm, rng: random.Random) -> Vector:
-    while True:
-        v = tuple(random_rational(rng) for _ in range(form.dim))
-        u = _int_vector(v)[1]
-        if form.int_pairing(u, u):
-            return v
-
-
-def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int = 3) -> Isometry:
-    """A product of 0..max_reflections random reflections, the first one applied first."""
+    Each reflection vector is redrawn until anisotropic.  Its entries x/q draw x
+    from -3..3 and q from (1, 1, 1, 2), and it is held as the integer vector of
+    the 2x/q, which spans the same line.
+    """
     iso = None
     for _ in range(rng.randint(0, max_reflections)):
-        refl = Isometry.reflection(form, random_anisotropic_vector(form, rng))
+        refl = None
+        while refl is None:
+            u = [rng.randint(-3, 3) * (2 // rng.choice((1, 1, 1, 2))) for _ in range(form.dim)]
+            refl = _reflection(form, u)
         iso = refl if iso is None else refl.compose(iso)
-    return Isometry.identity(form) if iso is None else iso
+    return iso
 
 
 def _split_indices(form: BilinearForm) -> tuple[list[int], list[int]] | None:
@@ -426,41 +429,46 @@ def _split_indices(form: BilinearForm) -> tuple[list[int], list[int]] | None:
     return pos, neg
 
 
-def random_coisotropic(form: BilinearForm, rng: random.Random) -> Subspace:
-    """A random coisotropic subspace, as the complement of a random iso-span."""
+def _random_iso_span(form: BilinearForm, rng: random.Random) -> Subspace:
+    """g(span of e_i +- e_j) over k random pairs of a +1 coordinate i and a -1 coordinate j
+    of a diag(+-1) form, g = random_isometry(form, rng, 2); zero for k = 0 or another form."""
     split = _split_indices(form)
-    if split is None:
-        return Subspace.full(form.dim)
-    pos, neg = split
-    k = rng.randint(0, min(len(pos), len(neg)))
+    k = 0 if split is None else rng.randint(0, min(map(len, split)))
     if k == 0:
-        return Subspace.full(form.dim)
-    pis = rng.sample(pos, k)
-    njs = rng.sample(neg, k)
+        return Subspace.zero(form.dim)
+    pos, neg = split
     vectors = []
-    for i, j in zip(pis, njs):
-        sign = rng.choice((1, -1))
+    for i, j in zip(rng.sample(pos, k), rng.sample(neg, k)):
         vec = [0] * form.dim
         vec[i] = 1
-        vec[j] = sign
+        vec[j] = rng.choice((1, -1))
         vectors.append(vec)
+    span = Subspace(form.dim, vectors)
     twist = random_isometry(form, rng, max_reflections=2)
-    span = Subspace(form.dim, vectors).transform(twist.matrix)
-    return orth_complement(form, span)
+    return span if twist is None else span.transform(twist.matrix)
+
+
+def _then_rows(rows: Iterable[Sequence[int]], g: Matrix, n: int) -> list[tuple[int, ...]]:
+    """The rows (d x | M y) of graph(g) o R, g = M/d, for rows (x | y) that span R."""
+    return [tuple(g.den * x for x in r[:n]) + tuple(sum(map(mul, m, r[n:])) for m in g.ints) for r in rows]
 
 
 def _then_isometry(rel: LinearRelation, g: Matrix) -> LinearRelation:
-    """graph(g) o rel = {(x, g y) : (x, y) in rel}, read off rel's rows: g = M/d gives rows (d x | M y)."""
-    n = rel.n
-    rows = (tuple(g.den * x for x in r[:n]) + tuple(sum(map(mul, m, r[n:])) for m in g.ints)
-            for r in rel.space.rows)
-    return LinearRelation(rel.form, Subspace(2 * n, rows))
+    """graph(g) o rel = {(x, g y) : (x, y) in rel}, read off rel's rows."""
+    return LinearRelation(rel.form, Subspace(2 * rel.n, _then_rows(rel.space.rows, g, rel.n)))
 
 
 def random_lagrangian(form: BilinearForm, rng: random.Random) -> LinearRelation:
-    """g o E_V0 for a random coisotropic V0 and a random isometry g."""
-    e = idempotent_relation(form, random_coisotropic(form, rng))
-    return _then_isometry(e, random_isometry(form, rng).matrix)
+    """g o E_V0 for V0 = V1-perp, V1 a random twisted iso-span, and a random isometry g.
+
+    E_V0 = {(v, v + w) : v in V0, w in V1} is spanned by the rows (v | v) and (0 | w).
+    An iso-span that is not isotropic gives a relation that is not Lagrangian.
+    """
+    v1 = _random_iso_span(form, rng)
+    n = form.dim
+    rows = [r + r for r in orth_complement(form, v1).rows] + [(0,) * n + r for r in v1.rows]
+    g = random_isometry(form, rng)
+    return LinearRelation(form, Subspace(2 * n, rows if g is None else _then_rows(rows, g.matrix, n)))
 
 
 def random_pairs(seed: int, count: int) -> Iterator[tuple[BilinearForm, LinearRelation, LinearRelation]]:

@@ -1,6 +1,7 @@
 """Shared fixtures: catalog relations are built once per session, and so is the
-root data of the exceptional families, which the catalog does not carry; and the
-JSON payload of one relation, which the package reads but never writes."""
+root data of the exceptional families, which the catalog does not carry; the
+JSON payload of one relation, which the package reads but never writes; and the
+plain reference for the package's seeded corpus generator."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from itertools import product
 
 import pytest
 
-from lagrel import BilinearForm, Matrix, RootSystem, catalog
-from lagrel.exact_linalg import basis_to_payload, matrix_to_payload
+from lagrel import BilinearForm, Isometry, Matrix, RootSystem, Subspace, catalog
+from lagrel.exact_linalg import basis_to_payload, matrix_to_payload, orth_complement
 
 
 @lru_cache(maxsize=None)
@@ -24,6 +25,48 @@ def relation_to_payload(rel) -> dict:
         "form": matrix_to_payload(rel.form.gram),
         "space": basis_to_payload(rel.space),
     }
+
+
+# The plain corpus generator, kept as the reference for `linear_relations.random_lagrangian`
+# and `random_isometry`: Fraction entries, <v|v> tested with a Fraction pairing, each isometry
+# starting from the identity, and the iso-span twisted by `Subspace.transform`.
+def random_rational(rng) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
+
+
+def random_anisotropic_vector(form, rng):
+    while True:
+        v = tuple(random_rational(rng) for _ in range(form.dim))
+        if any(v) and form.pairing(v, v) != 0:
+            return v
+
+
+def reference_isometry(form, rng, max_reflections=3):
+    iso = Isometry.identity(form)
+    for _ in range(rng.randint(0, max_reflections)):
+        iso = Isometry.reflection(form, random_anisotropic_vector(form, rng)).compose(iso)
+    return iso
+
+
+def random_coisotropic(form, rng):
+    """V1-perp for V1 = g(span of k vectors e_i +- e_j), i and j distinct +1 and -1 coordinates
+    of a diag(+-1) form and g = reference_isometry(form, rng, 2); all of V when k = 0."""
+    diag = [form.gram.entries[i][i] for i in range(form.dim)]
+    pos = [i for i, x in enumerate(diag) if x == 1]
+    neg = [i for i, x in enumerate(diag) if x == -1]
+    k = rng.randint(0, min(len(pos), len(neg)))
+    if k == 0:
+        return Subspace.full(form.dim)
+    pis = rng.sample(pos, k)
+    njs = rng.sample(neg, k)
+    vectors = []
+    for i, j in zip(pis, njs):
+        vec = [0] * form.dim
+        vec[i] = 1
+        vec[j] = rng.choice((1, -1))
+        vectors.append(vec)
+    span = Subspace(form.dim, vectors).transform(reference_isometry(form, rng, max_reflections=2).matrix)
+    return orth_complement(form, span)
 
 
 EXCEPTIONAL = ["D(2|1;1)", "D(2|1;2)", "D(2|1;1/3)", "G(3)", "F(4)"]

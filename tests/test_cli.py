@@ -377,6 +377,18 @@ p2 = LinearRelation.p2.func
 LinearRelation.p2 = property(lambda self: Subspace(self.n, p2(self).rows[:-1]))
 print(suite_monoid(1, 50)["inverse_composition_idempotent"])
 """, "(0, 50)\n"),
+    "non-isotropic iso-span": ("""
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from lagrel import linear_relations as lr
+from lagrel.cli import main
+from lagrel.exact_linalg import Subspace
+lr._random_iso_span = lambda form, rng: Subspace(form.dim, [[1] + [0] * (form.dim - 1)])
+out, err = StringIO(), StringIO()
+with redirect_stdout(out), redirect_stderr(err):
+    code = main(["verify", "monoid", "--seed", "1"])
+print(code, repr(out.getvalue()), err.getvalue(), end="")
+""", "1 '' error: atypicality is defined for Lagrangian relations\n"),
     "reduction square": ("""
 from lagrel.cli import suite_reduction
 from lagrel.wgrs import RootSystem

@@ -23,7 +23,8 @@ from lagrel.exact_linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from lagrel.linear_relations import random_coisotropic
+
+from conftest import random_coisotropic
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 

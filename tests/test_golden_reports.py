@@ -18,6 +18,9 @@ of the gl and osp catalog over a small range, recorded before the catalog
 roots were generated from their defining rules.  Two more pin `wgrs validate`
 on the gl(2|1) catalog file and on that file with its first root dropped,
 recorded before the seven report commands shared one envelope writer.
+One more pins the canonical rows of all 1000 seed-1 pairs that `verify
+monoid --seed 1` draws, recorded before the generator switched to integer
+draws and read g o E_V0 off the twisted iso-span.
 """
 
 from __future__ import annotations
@@ -234,6 +237,17 @@ def test_random_corpus_bytes():
         for rel in (a, b):
             digest.update(json.dumps(relation_to_payload(rel), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == RANDOM_CORPUS
+
+
+FULL_CORPUS = "5709d33b3e4917ec0014c61ef95bc263b355dde0e7a4e4602b70e8aabee82486"
+
+
+def test_full_seed_1_corpus():
+    # every pair `verify monoid --seed 1` checks, as the canonical integer rows of a and b
+    digest = hashlib.sha256()
+    for _, a, b in random_pairs(1, 1000):
+        digest.update(repr((a.space.rows, b.space.rows)).encode() + b"\n")
+    assert digest.hexdigest() == FULL_CORPUS
 
 
 # stdout of `lagrel verify <suite>` at the default seed 0
