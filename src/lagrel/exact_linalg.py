@@ -456,9 +456,15 @@ def subspace_to_payload(s: Subspace) -> dict:
 
 
 class BilinearForm:
-    """Nondegenerate symmetric bilinear form, given by its Gram matrix."""
+    """Nondegenerate symmetric bilinear form, given by its Gram matrix G = H/e.
 
-    __slots__ = ("dim", "gram")
+    Once G is checked, H = gram.ints is held as its diagonal `diag` and its
+    off-diagonal nonzeros `off_diagonal`, as (i, j, H[i][j]).  `times_gram`,
+    the one product with H, serves complements, quotients, reflections and
+    the isotropy and isometry checks; no code outside this module reads gram.ints.
+    """
+
+    __slots__ = ("dim", "gram", "diag", "off_diagonal")
 
     def __init__(self, gram: Matrix):
         if gram.rows != gram.cols:
@@ -469,6 +475,9 @@ class BilinearForm:
             raise ValueError("Gram matrix must be invertible (nondegenerate form)")
         object.__setattr__(self, "dim", gram.rows)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "diag", tuple(row[i] for i, row in enumerate(gram.ints)))
+        object.__setattr__(self, "off_diagonal", tuple(
+            (i, j, x) for i, row in enumerate(gram.ints) for j, x in enumerate(row) if x and i != j))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("BilinearForm is immutable")
@@ -486,12 +495,23 @@ class BilinearForm:
             raise ValueError("vector length disagrees with form dimension")
         return Fraction(self.int_pairing(uu, vv), du * dv * self.gram.den)
 
+    def times_gram(self, rows: Iterable[Sequence[int]]) -> list[list[int]]:
+        """The integer rows r H, for H = gram.ints: the diagonal scales r, then
+        each off-diagonal entry H[i][j] adds r[i] H[i][j] to column j."""
+        diag, off = self.diag, self.off_diagonal
+        out = []
+        for r in rows:
+            rh = list(map(mul, r, diag))
+            for i, j, x in off:
+                rh[j] += r[i] * x
+            out.append(rh)
+        return out
+
     def int_pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Pairing against the integer Gram matrix gram.ints, i.e. gram.den * <u|v>."""
-        total = 0
-        for ui, row in zip(u, self.gram.ints):
-            if ui:
-                total += ui * sum(map(mul, row, v))
+        """u^T H v = gram.den * <u|v>, from the diagonal and off-diagonal entries as in `times_gram`."""
+        total = sum(map(mul, map(mul, u, self.diag), v))
+        for i, j, x in self.off_diagonal:
+            total += u[i] * x * v[j]
         return total
 
     def __eq__(self, other) -> bool:
@@ -509,7 +529,7 @@ def orth_complement(form: BilinearForm, u: Subspace) -> Subspace:
     if u.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
     n = form.dim
-    return Subspace(n, _nullspace(_int_product(u.rows, form.gram.ints, n), n))
+    return Subspace(n, _nullspace(form.times_gram(u.rows), n))
 
 
 class QuotientSpace(NamedTuple):
@@ -552,7 +572,7 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
     q = len(u_rows)
     section = _matrix(1, zip(*u_rows) if q else ((),) * n, q)
     # U H and U H U^T for G = H / e: the e's cancel in Gram_U^-1 U G
-    uh = _int_product(u_rows, form.gram.ints, n)
+    uh = form.times_gram(u_rows)
     gram = tuple(tuple(sum(map(mul, row, u)) for u in u_rows) for row in uh)
     induced = BilinearForm(_matrix(form.gram.den, gram, q))
     projection = solve_right(_matrix(1, gram, q), _matrix(1, uh, n))

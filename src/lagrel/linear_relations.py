@@ -22,7 +22,6 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _eliminate_prefix,
-    _int_product,
     _int_vector,
     _matrix,
     as_vector,
@@ -44,14 +43,19 @@ class Isometry:
     def __init__(self, form: BilinearForm, matrix: Matrix):
         if matrix.rows != form.dim or matrix.cols != form.dim:
             raise ValueError("matrix shape disagrees with form dimension")
-        # with g = M/d and G = H/e in lowest terms, g^T G g = G iff M^T H M = d^2 H
+        # with g = M/d and G = H/e in lowest terms, g^T G g = G iff M^T H M = d^2 H;
+        # both sides are symmetric because H is, so the entries j >= i decide it
         n = form.dim
-        h = form.gram.ints
-        m = matrix.ints
+        cols = tuple(zip(*matrix.ints))
         d2 = matrix.den * matrix.den
-        lhs = _int_product(tuple(zip(*m)), _int_product(h, m, n), n)
-        if lhs != tuple(tuple(d2 * x for x in row) for row in h):
-            raise ValueError("matrix is not an isometry of the form")
+        target = [[0] * n for _ in range(n)]
+        for i, x in enumerate(form.diag):
+            target[i][i] = d2 * x
+        for i, j, x in form.off_diagonal:
+            target[i][j] = d2 * x
+        for i, row in enumerate(form.times_gram(cols)):
+            if [sum(map(mul, row, c)) for c in cols[i:]] != target[i][i:]:
+                raise ValueError("matrix is not an isometry of the form")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "matrix", matrix)
 
@@ -99,13 +103,13 @@ class Isometry:
 def _reflection(form: BilinearForm, u: Sequence[int]) -> Isometry | None:
     """The reflection in the integer vector u, None when u is isotropic.
 
-    With H = gram.ints the matrix is (N I - 2 u (H u)^T) / N for N = u^T H u; it
-    depends only on the line of u.
+    For the form's integer Gram matrix H it is (N I - 2 u (H u)^T) / N with
+    N = u^T H u; it depends only on the line of u.
     """
-    norm = form.int_pairing(u, u)
+    hu = form.times_gram((u,))[0]
+    norm = sum(map(mul, hu, u))
     if norm == 0:
         return None
-    hu = [sum(map(mul, row, u)) for row in form.gram.ints]
     n = form.dim
     ints = [[(norm if i == j else 0) - 2 * u[i] * hu[j] for j in range(n)] for i in range(n)]
     return Isometry(form, _matrix(norm, ints, n))
@@ -187,13 +191,12 @@ class LinearRelation:
 
     @cached_property
     def is_isotropic(self) -> bool:
+        """A H A^T = B H B^T for the halves (A | B) of the basis rows, on the upper triangles."""
         first, second = self._halves()
-        d = len(self.space.rows)
-        for i in range(d):
-            for j in range(i, d):
-                if self.form.int_pairing(first[i], first[j]) != self.form.int_pairing(second[i], second[j]):
-                    return False
-        return True
+        ah, bh = self.form.times_gram(first), self.form.times_gram(second)
+        d = len(first)
+        return all(sum(map(mul, ah[i], first[j])) == sum(map(mul, bh[i], second[j]))
+                   for i in range(d) for j in range(i, d))
 
     @cached_property
     def is_lagrangian(self) -> bool:
@@ -414,18 +417,12 @@ def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int
 
 
 def _split_indices(form: BilinearForm) -> tuple[list[int], list[int]] | None:
-    gram, den = form.gram.ints, form.gram.den
-    pos, neg = [], []
-    for i in range(form.dim):
-        for j in range(form.dim):
-            if i != j and gram[i][j] != 0:
-                return None
-        if gram[i][i] == den:
-            pos.append(i)
-        elif gram[i][i] == -den:
-            neg.append(i)
-        else:
-            return None
+    """The +1 and -1 coordinates of a diag(+-1) form; None for another form."""
+    den = form.gram.den
+    pos = [i for i, x in enumerate(form.diag) if x == den]
+    neg = [i for i, x in enumerate(form.diag) if x == -den]
+    if form.off_diagonal or len(pos) + len(neg) != form.dim:
+        return None
     return pos, neg
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exact_linalg import (
@@ -333,7 +334,8 @@ def _map_halves(rows: Sequence[Sequence[int]], n: int, m: Matrix) -> list[tuple[
 
 
 def _orthogonal_subspaces(form: BilinearForm, a: Subspace, b: Subspace) -> bool:
-    return all(form.int_pairing(ra, rb) == 0 for ra in a.rows for rb in b.rows)
+    bh = form.times_gram(b.rows)
+    return all(sum(map(mul, ra, x)) == 0 for ra in a.rows for x in bh)
 
 
 def _span_of(n: int, parts: Iterable[Subspace]) -> Subspace:

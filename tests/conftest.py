@@ -1,7 +1,8 @@
 """Shared fixtures: catalog relations are built once per session, and so is the
 root data of the exceptional families, which the catalog does not carry; the
-JSON payload of one relation, which the package reads but never writes; and the
-plain reference for the package's seeded corpus generator."""
+JSON payload of one relation, which the package reads but never writes; a form
+rebased to dense coordinates; and the plain reference for the package's seeded
+corpus generator."""
 
 from __future__ import annotations
 
@@ -46,6 +47,18 @@ def reference_isometry(form, rng, max_reflections=3):
     for _ in range(rng.randint(0, max_reflections)):
         iso = Isometry.reflection(form, random_anisotropic_vector(form, rng)).compose(iso)
     return iso
+
+
+def rebased_form(form, rng):
+    """form in the coordinates x' = T x of a seeded rational invertible T, and T: the Gram
+    matrix T^-T G T^-1, which is dense and has denominators."""
+    dim = form.dim
+    while True:
+        t = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)])
+        if t.rank() == dim:
+            break
+    t_inv = t.inverse()
+    return BilinearForm(t_inv.transpose() @ form.gram @ t_inv), t
 
 
 def random_coisotropic(form, rng):

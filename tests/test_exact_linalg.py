@@ -13,6 +13,7 @@ from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
     Subspace,
+    _int_product,
     format_rational,
     matrix_to_payload,
     orth_complement,
@@ -24,7 +25,7 @@ from lagrel.exact_linalg import (
     subspace_sum,
 )
 
-from conftest import random_coisotropic
+from conftest import random_coisotropic, rebased_form
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -164,6 +165,22 @@ def test_gl11_isotropic_line_is_self_orthogonal():
     assert orth_complement(form, line) == line
 
 
+def test_times_gram_and_int_pairing_match_the_dense_product():
+    # the suite forms, a non-unit diagonal, and each of them rebased to a dense form with denominators
+    rng = random.Random(29)
+    forms = [split_form(dim) for dim in range(2, 7)] + [BilinearForm.diagonal(["-4/3", 1, "1/3"])]
+    forms += [rebased_form(form, rng)[0] for form in forms]
+    assert all(form.off_diagonal and form.gram.den > 1 for form in forms[6:])
+    for form in forms:
+        n, h = form.dim, form.gram.ints
+        rows = [(0,) * n] + [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(12)]
+        assert form.times_gram(rows) == [list(r) for r in _int_product(rows, h, n)]
+        assert form.times_gram([]) == []
+        for u in rows:
+            for v in rows:
+                assert form.int_pairing(u, v) == sum(u[i] * h[i][j] * v[j] for i in range(n) for j in range(n))
+
+
 def test_bilinear_form_rejects_degenerate():
     with pytest.raises(ValueError):
         BilinearForm(Matrix([[1, 0], [0, 0]]))
@@ -205,13 +222,8 @@ def rebased_coisotropics(seed):
     for dim in (2, 3, 4, 5, 6):
         form = split_form(dim)
         for _ in range(4):
-            while True:
-                t = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
-                            for _ in range(dim)])
-                if t.rank() == dim:
-                    break
-            t_inv = t.inverse()
-            yield BilinearForm(t_inv.transpose() @ form.gram @ t_inv), random_coisotropic(form, rng).transform(t)
+            moved, t = rebased_form(form, rng)
+            yield moved, random_coisotropic(form, rng).transform(t)
 
 
 def test_quotient_kernel_is_projection_kernel():

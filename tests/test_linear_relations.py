@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_coisotropic, reference_isometry, relation_to_payload
+from conftest import random_anisotropic_vector, random_coisotropic, rebased_form, reference_isometry, relation_to_payload
 from lagrel.cli import monoid_checks
 from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
 from lagrel.linear_relations import (
@@ -93,6 +93,44 @@ def test_perturbed_reflection_rejected():
             entries[i][j] += Fraction(1, 7)
             with pytest.raises(ValueError, match="^matrix is not an isometry of the form$"):
                 Isometry(NEG_FORM, Matrix(entries))
+
+
+def test_half_triangle_isometry_check_rejects_what_the_full_product_rejects():
+    # Isometry compares (M^T H M)_ij with d^2 H_ij for j >= i only.  On products g of reflections,
+    # g with one entry moved by 1/d, integer matrices, and g with column j taken from another
+    # product (which keeps the diagonal of M^T G M), it must decide as M^T G M = G does.
+    rng = random.Random(29)
+    forms = [suite_form(3), suite_form(4), NEG_FORM]
+    forms += [rebased_form(form, rng)[0] for form in forms]
+    for form in forms:
+        n = form.dim
+        reflections = [Isometry.reflection(form, random_anisotropic_vector(form, rng)) for _ in range(4)]
+        accepted = 0
+        products = []
+        for k in range(300):
+            g = rng.choice(reflections)
+            for _ in range(rng.randint(0, 2)):
+                g = rng.choice(reflections).compose(g)
+            products.append(g)
+            m = g.matrix
+            if k % 4 == 1:
+                ints = [list(row) for row in m.ints]
+                ints[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+                m = Matrix([[Fraction(x, m.den) for x in row] for row in ints])
+            elif k % 4 == 2:
+                m = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)], cols=n)
+            elif k % 4 == 3:
+                j, other = rng.randrange(n), rng.choice(products).matrix.entries
+                m = Matrix([row[:j] + (o[j],) + row[j + 1:] for row, o in zip(m.entries, other)])
+            full = m.transpose() @ form.gram @ m == form.gram
+            try:
+                Isometry(form, m)
+            except ValueError:
+                assert not full
+            else:
+                assert full
+                accepted += 1
+        assert 75 <= accepted < 150
 
 
 def test_isometry_of_the_wrong_shape_rejected():
