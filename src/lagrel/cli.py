@@ -114,16 +114,21 @@ def _report(raw: bytes, body: dict, out: str | None) -> int:
     return 0
 
 
+def _summary(rel: LagrangianEquivalenceRelation) -> dict:
+    """The head of the analyze and wgrs relation reports.  weyl_order is the atypicality-0 count, which is
+    len(rel.weyl_group): W is exactly those components read as isometries."""
+    hist = rel.atypicality_histogram()
+    return {"n": rel.n, "num_components": len(rel), "weyl_order": hist[0],
+            "atypicality_histogram": {str(k): v for k, v in hist.items()}}
+
+
 def cmd_analyze(args) -> int:
     if (args.x is None) != (args.y is None):
         raise ValueError("--x and --y must be given together")
     payload, raw = _load_json(args.input)
     rel = _relation_from_file(payload, args.max_components)
     report = {
-        "n": rel.n,
-        "num_components": len(rel),
-        "weyl_order": len(rel.weyl_group),
-        "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
+        **_summary(rel),
         "discriminant": [subspace_to_payload(u) for u in rel.discriminant()],
         "one_regular": rel.is_one_regular()[0],
         "semiregular": rel.is_semiregular(),
@@ -210,13 +215,7 @@ def cmd_wgrs_relation(args) -> int:
     payload, raw = _load_json(args.input)
     rs = rootsystem_from_payload(payload)
     rel = rs.build_relation(args.max_components)
-    report = {
-        "n": rel.n,
-        "num_components": len(rel),
-        "weyl_order": len(rel.weyl_group),
-        "atypicality_histogram": {str(k): v for k, v in rel.atypicality_histogram().items()},
-        "components": [basis_to_payload(c.space) for c in rel.components],
-    }
+    report = {**_summary(rel), "components": [basis_to_payload(c.space) for c in rel.components]}
     return _report(raw, report, args.out)
 
 
@@ -270,8 +269,8 @@ def monoid_checks(
     c = compose(a, b)
     p1k2 = Subspace(dim, [r[:dim] for r in a.k2.rows])
     return c, {
-        "composition_lagrangian": c.is_lagrangian and c.dim == dim,
-        "kernel_dims_equal": all(r.dim - r.p1.dim == r.dim - r.p2.dim for r in (a, b, c)),
+        "composition_lagrangian": c.is_lagrangian,
+        "kernel_dims_equal": all(r.p1.dim == r.p2.dim for r in (a, b, c)),
         "atypicality_bounds": (
             max(a.atypicality, b.atypicality) <= c.atypicality <= a.atypicality + b.atypicality
         ),
@@ -296,10 +295,10 @@ def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
 
 
 def wgrs_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
-    """(name, ok) per check of `verify wgrs` on rs, each run inside the call it names: rs.describes() on
-    the closure of relation_generators() (build_relation() is the description), maximal_isosets(), and
+    """(name, ok) per check of `verify wgrs` on rs, each run inside the call it names: build_relation(check=True)
+    (the description against the closure of relation_generators()), maximal_isosets(), and
     two_step_witness on every ordered pair of isotropic roots; ok: a true value, nothing raised."""
-    yield "component_description", _holds(lambda: rs.describes(closure(rs.form, rs.relation_generators())))
+    yield "component_description", _holds(lambda: rs.build_relation(check=True))
     yield "isoset_cardinality", _holds(rs.maximal_isosets)
     for beta in rs.iso_roots:
         for beta_p in rs.iso_roots:

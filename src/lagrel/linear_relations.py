@@ -244,12 +244,8 @@ def diagonal(form: BilinearForm) -> LinearRelation:
 
 
 def graph(iso: Isometry) -> LinearRelation:
-    """Graph {(v, g v)} of an isometry."""
-    n = iso.form.dim
-    d = iso.matrix.den
-    cols = zip(*iso.matrix.ints)
-    rows = (tuple(d if j == i else 0 for j in range(n)) + col for i, col in enumerate(cols))
-    return LinearRelation(iso.form, Subspace(2 * n, rows))
+    """Graph {(v, g v)} of an isometry: graph(g) o the diagonal."""
+    return _then_isometry(diagonal(iso.form), iso.matrix)
 
 
 def inverse(rel: LinearRelation) -> LinearRelation:

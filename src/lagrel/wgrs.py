@@ -5,8 +5,9 @@ integrality under reflections in anisotropic roots and the plus-or-minus
 shift axiom for isotropic ones.  The induced relation is generated by the
 Weyl reflections together with the translation idempotents E_{alpha-perp}
 for isotropic alpha; build_relation reads its components graph(w) o E_{S-perp}
-off w in W and iso-sets S.  Its generators, their closure the check, are the
-simple reflections and one E_{alpha-perp} per W-orbit of isotropic pairs.
+off w in W and iso-sets S.  Its generators are the simple reflections and one
+E_{alpha-perp} per W-orbit of isotropic pairs; build_relation(check=True), which
+`verify wgrs` runs, is the one comparison of their closure with the description.
 """
 
 from __future__ import annotations
@@ -396,20 +397,12 @@ class RootSystem:
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 
-    def describes(self, rel: LagrangianEquivalenceRelation) -> bool:
-        """Whether rel's components are exactly the graph(w) o E_{S-perp} over w in W and iso-sets S."""
-        return {c.space for c in rel.components} == self.described_components()
-
     def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
         """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily; each read off E's rows."""
         for s in self.iso_sets:
             e = idempotent_relation(self.form, orth_complement(self.form, s.span_in(self.dim)))
             for w in self.weyl_group:
                 yield w, s, _then_isometry(e, w.matrix)
-
-    def described_components(self) -> set[Subspace]:
-        """Spaces of graph(w) o E_{S-perp} over all w in W and iso-sets S."""
-        return {rel.space for _, _, rel in self._descriptions()}
 
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lagrel.cli import _build_parser, main
+from lagrel.cli import _build_parser, _relation_from_file, main
 from lagrel.exact_linalg import matrix_to_payload
 
 from conftest import built_relation
@@ -87,6 +87,9 @@ def test_analyze_product_generators_file_is_semiregular(tmp_path, capsys):
     report = json.loads(out)
     assert (report["num_components"], report["one_regular"]) == (12, False)
     assert report["semiregular"] is True
+    # weyl_order is the atypicality-0 count of the file's closure, which is |W|
+    rel = _relation_from_file(json.loads(path.read_text()), len(prod))
+    assert report["weyl_order"] == rel.atypicality_histogram()[0] == len(rel.weyl_group)
 
 
 def test_analyze_needs_both_points_exit_1(tmp_path, capsys):
@@ -342,9 +345,9 @@ def test_negative_degree_exit_1(tmp_path, capsys):
 # which must be the same with and without python -O
 BROKEN_CHECKS = {
     "closure description": ("""
+from lagrel import wgrs
 from lagrel.cli import suite_wgrs
-from lagrel.wgrs import RootSystem
-RootSystem.described_components = lambda self: set()
+wgrs.closure = lambda form, generators, max_components: None
 print(suite_wgrs(0)["component_description"])
 """, "(0, 13)\n"),
     "idempotent collapse": ("""

@@ -70,11 +70,17 @@ def test_closure_rejects_non_lagrangian_generator():
         closure(GL11, [not_lagrangian])
 
 
-def test_closure_bound_exceeded_on_infinite_group():
+def test_closure_bound_exceeded_on_infinite_group(monkeypatch):
+    # either bound stops the boost's words: the depth bound once they reach depth 3 (7 components)
+    from lagrel import relation_monoid
+
     form = BilinearForm(Matrix([[0, 1], [1, 0]]))
     boost = Isometry(form, Matrix([[2, 0], [0, "1/2"]]))
-    with pytest.raises(ClosureBoundExceeded):
+    with pytest.raises(ClosureBoundExceeded, match="closure exceeded 64 components"):
         closure(form, [graph(boost)], max_components=64)
+    monkeypatch.setattr(relation_monoid, "MAX_ROUNDS", 3)
+    with pytest.raises(ClosureBoundExceeded, match="closure exceeded 3 rounds"):
+        closure(form, [graph(boost)], max_components=1000)
 
 
 def test_closure_bound_counts_the_diagonal_and_the_generators():

@@ -349,11 +349,6 @@ def test_description_is_the_closure(entry):
         assert rel.verify_closed()
 
 
-def test_component_count_matches_pair_count(gl21):
-    rs = catalog("gl", 2, 1)
-    assert len(rs.described_components()) == len(gl21)
-
-
 def test_class_membership_examples(gl11):
     rs = catalog("gl", 1, 1)
     ok, witness = rs.class_membership((0, 0), (3, -3))
@@ -582,11 +577,15 @@ def test_non_integral_weyl_group_is_closed():
 
 
 @pytest.mark.parametrize("entry", [("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
-                         + [("osp", 3, 2)], ids=lambda e: "-".join(map(str, e)))
+                         + [("osp", 3, 2), "D(2|1;1/3)"],
+                         ids=lambda e: e if isinstance(e, str) else "-".join(map(str, e)))
 def test_relation_weyl_group_is_the_root_system_weyl_group(entry):
-    # the relation reads W off its components; the root system closes its reflections
-    rs = catalog(*entry)
-    assert rs.build_relation().weyl_group == rs.weyl_group
+    # the relation reads W off its components; the root system closes its reflections;
+    # the reports' weyl_order is the atypicality-0 count
+    rs = exceptional(entry) if isinstance(entry, str) else catalog(*entry)
+    rel = rs.build_relation()
+    assert rel.weyl_group == rs.weyl_group
+    assert rel.atypicality_histogram()[0] == len(rel.weyl_group)
 
 
 def test_generate_group_bound():
