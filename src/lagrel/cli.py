@@ -142,7 +142,7 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_vector(text: str):
-    return as_vector([rational(part) for part in text.split(",")])
+    return as_vector(text.split(","))
 
 
 def _separation_payload(result: Separation) -> dict:

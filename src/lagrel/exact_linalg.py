@@ -14,7 +14,10 @@ and `ints` = den*M, with gcd(den, all of ints) = 1, which makes the pair
 unique.  Products, transposes, solves and comparisons work on the integers.
 `Fraction` appears only where data enters (`rational`, `_int_vector`) and
 where results are read out (`Matrix.entries`, `Matrix.apply`,
-`BilinearForm.pairing`).  No floating point anywhere.
+`BilinearForm.pairing`).  `_int_vector` reads a query point once into
+integers over one denominator, with no `Fraction` for a point of ints, and
+`Polynomial.evaluate` sums in integers over one denominator.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -79,9 +82,13 @@ def _primitive(row: Sequence[int]) -> IntRow | None:
     return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
-def _int_vector(vec: Sequence[Rational]) -> tuple[int, list[int]]:
-    """Common denominator d of a vector v, and the integer vector d*v."""
-    fr = [rational(x) for x in vec]
+def _int_vector(vec: Iterable[Rational]) -> tuple[int, list[int]]:
+    """Common denominator d of a vector v, and the integer vector d*v; v is read once,
+    and a v of ints is returned as (1, its entries) without making a Fraction."""
+    items = list(vec)
+    if all(type(x) is int for x in items):
+        return 1, items
+    fr = [rational(x) for x in items]
     d = lcm(*(x.denominator for x in fr))
     return d, [x.numerator * (d // x.denominator) for x in fr]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice, product
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
@@ -31,9 +32,9 @@ from .exact_linalg import (
     Vector,
     _echelon,
     _int_rows,
+    _int_vector,
     _nullspace,
     _pivot,
-    as_vector,
     format_rational,
     quotient,
     rational,
@@ -136,17 +137,21 @@ class Polynomial:
         return Polynomial(self.num_vars, {e: cc * v for e, v in self.terms.items()})
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        p = as_vector(point)
+        """The value at a point read once as integers p over d: the integer sum of
+        c.numerator * (L / c.denominator) * d^(D - |e|) * p^e over the terms c x^e, over L * d^D,
+        with L the lcm of the coefficient denominators and D the degree."""
+        d, p = _int_vector(point)
         if len(p) != self.num_vars:
             raise ValueError("point length disagrees with variable count")
-        total = Fraction(0)
+        den, deg = lcm(*(c.denominator for c in self.terms.values())), self.degree()
+        total = 0
         for e, c in self.terms.items():
-            val = c
+            val = c.numerator * (den // c.denominator) * d ** (deg - sum(e))
             for x, k in zip(p, e):
                 if k:
                     val *= x ** k
             total += val
-        return total
+        return Fraction(total, den * d ** deg)
 
     def compose_linear(self, m: Matrix) -> "Polynomial":
         """Substitute x_i = sum_j m[i][j] t_j; result lives in m.cols variables."""
@@ -436,14 +441,13 @@ def separate(relation: LagrangianEquivalenceRelation, x: Sequence[Rational],
     agrees on them by definition.  For unrelated points the search walks one
     sweep of slices and is a semi-decision bounded by d_max.
     """
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if relation.membership(xv, yv):
+    x, y = tuple(x), tuple(y)  # a generator is read once; membership and evaluate read integers
+    if relation.membership(x, y):
         return Separation("equivalent")
     for d, basis in zip(range(1, d_max + 1), islice(invariant_slices(relation), 1, None)):
         for f in basis:
-            fx = f.evaluate(xv)
-            fy = f.evaluate(yv)
+            fx = f.evaluate(x)
+            fy = f.evaluate(y)
             if fx != fy:
                 return Separation("separated", d, f, (fx, fy))
     return Separation("exhausted")

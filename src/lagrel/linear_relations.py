@@ -144,6 +144,14 @@ def _sorted_group(isos: Sequence[Isometry]) -> tuple[Isometry, ...]:
     return tuple(sorted(isos, key=lambda g: tuple(x * (big // g.matrix.den) for row in g.matrix.ints for x in row)))
 
 
+def _int_pair(x: Sequence[Rational], y: Sequence[Rational], n: int) -> list[int]:
+    """The integer row dx*dy*(x, y) of a pair of points of V, each read once (ValueError unless dim V = n)."""
+    (dx, ix), (dy, iy) = _int_vector(x), _int_vector(y)
+    if len(ix) != n or len(iy) != n:
+        raise ValueError("vector length disagrees with relation dimension")
+    return [a * dy for a in ix] + [b * dx for b in iy]
+
+
 class LinearRelation:
     """A linear relation on V, held as a canonical subspace of V + V."""
 
@@ -210,11 +218,7 @@ class LinearRelation:
         return self.dim - self.p1.dim
 
     def contains_pair(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-        xv = as_vector(x)
-        yv = as_vector(y)
-        if len(xv) != self.n or len(yv) != self.n:
-            raise ValueError("vector length disagrees with relation dimension")
-        return self.space.contains_vector(xv + yv)
+        return self.space.contains_vector(_int_pair(x, y, self.n))
 
     def sort_key(self):
         return self.space.sort_key()

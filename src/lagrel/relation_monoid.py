@@ -22,10 +22,8 @@ from .exact_linalg import (
     Subspace,
     _echelon,
     _int_product,
-    _int_vector,
     _matrix,
     _residual,
-    as_vector,
     orth_complement,
     quotient,
     subspace_intersect,
@@ -35,6 +33,7 @@ from .linear_relations import (
     ClosureBoundExceeded,
     Isometry,
     LinearRelation,
+    _int_pair,
     _sorted_group,
     compose,
     diagonal,
@@ -131,11 +130,7 @@ class LagrangianEquivalenceRelation:
 
     def membership(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
         """Decide (x, y) in R by testing the integer pair's residual against each component."""
-        xv = as_vector(x)
-        yv = as_vector(y)
-        if len(xv) != self.n or len(yv) != self.n:
-            raise ValueError("vector length disagrees with relation dimension")
-        _, pair = _int_vector(xv + yv)
+        pair = _int_pair(x, y, self.n)
         return any(_residual(pair, c.space.rows) is None for c in self.components)
 
     def verify_closed(self) -> bool:

@@ -25,7 +25,6 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
-    _int_rows,
     _int_vector,
     _residual,
     as_vector,
@@ -137,9 +136,9 @@ class RootSystem:
         return frozenset(self.roots)
 
     @cached_property
-    def _iso_pair_rows(self) -> tuple[list[int], ...]:
-        """iso_pairs with denominators cleared, for integer pairings."""
-        return tuple(_int_rows(self.iso_pairs))
+    def _iso_pair_ints(self) -> dict[Vector, tuple[int, list[int]]]:
+        """Each of iso_pairs, in order, to its denominator d and integer row d*p."""
+        return {p: _int_vector(p) for p in self.iso_pairs}
 
     @cached_property
     def _iso_set_masks(self) -> tuple[int, ...]:
@@ -259,7 +258,7 @@ class RootSystem:
             if len(iv) != self.dim:
                 raise ValueError("vector length disagrees with form dimension")
             pair = self.form.int_pairing
-            orth = sum(1 << i for i, ip in enumerate(self._iso_pair_rows) if pair(ip, iv) == 0)
+            orth = sum(1 << i for i, (_, ip) in enumerate(self._iso_pair_ints.values()) if pair(ip, iv) == 0)
             candidates = [(s, m) for s, m in candidates if m & orth == m]
         maximal = tuple(s for s, m in candidates if not any(m & t == m != t for _, t in candidates))
         if v is None and len({s.num_pairs for s in maximal}) > 1:
@@ -342,8 +341,7 @@ class RootSystem:
     def transport_isoset(self, v: Sequence[Rational], s: IsoSet, s_prime: IsoSet) -> Isometry:
         """w in Stab_W(v) with w(S) = S', by swapping one pair at a time."""
         self.require_valid()
-        vv = as_vector(v)
-        maximal = self.maximal_isosets(vv)
+        maximal = self.maximal_isosets(v)
         if s not in maximal or s_prime not in maximal:
             raise ValueError("iso-set is not a maximal iso-set orthogonal to the base vector")
         current = s
@@ -415,17 +413,14 @@ class RootSystem:
         unique when S's pairs are independent; otherwise the echelon picks one.
         """
         self.require_valid()
-        vv = as_vector(v)
-        vp = as_vector(v_prime)
-        if len(vv) != self.dim or len(vp) != self.dim:
+        (dv, iv), (dp, ip) = _int_vector(v), _int_vector(v_prime)
+        if len(iv) != self.dim or len(ip) != self.dim:
             raise ValueError("vector length disagrees with form dimension")
-        choices = self.maximal_isosets(vv)
+        choices = self.maximal_isosets(iv)
         pairs = choices[0].pairs if choices else ()
         k = len(pairs)
         cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
-                        for i, (d, p) in enumerate(map(_int_vector, pairs)))
-        dv, iv = _int_vector(vv)
-        dp, ip = _int_vector(vp)
+                        for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))
         for w, w_inv in self._weyl_and_inverses:
             # w^-1 v' - v, as integers over w_inv.den * dp * dv
             scale = w_inv.den * dp

@@ -360,6 +360,57 @@ def test_compose_linear_matches_evaluation_with_fractions():
             assert q.evaluate(t) == p.evaluate(m.apply(t))
 
 
+def fraction_evaluate(poly, point):
+    """Oracle: the term-by-term Fraction evaluation that `Polynomial.evaluate` replaced."""
+    p = tuple(rational(x) for x in point)
+    if len(p) != poly.num_vars:
+        raise ValueError("point length disagrees with variable count")
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        val = c
+        for x, k in zip(p, e):
+            if k:
+                val *= x ** k
+        total += val
+    return total
+
+
+def test_evaluate_matches_the_fraction_oracle():
+    # homogeneous, mixed-degree, zero and 0-variable polynomials, at int, negative,
+    # Fraction and "p/q" points; equal values and equal strings
+    rng = random.Random(31)
+
+    def frac():
+        return Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 6, 7)))
+
+    def point(n):
+        entries = [frac() for _ in range(n)]
+        return [tuple(e.numerator for e in entries), tuple(entries),
+                tuple(f"{e.numerator}/{e.denominator}" for e in entries),
+                [rng.choice((e, str(e), e.numerator)) for e in entries]]
+
+    polys = [Polynomial(0), Polynomial(0, {(): Fraction(-5, 3)}), Polynomial(3)]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        homogeneous = rng.randint(0, 4) if rng.random() < 0.5 else None
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exp = [0] * n
+            for _ in range(rng.randint(0, 4) if homogeneous is None else homogeneous):
+                exp[rng.randrange(n)] += 1
+            terms[tuple(exp)] = frac()
+        polys.append(Polynomial(n, terms))
+    assert any(p.is_homogeneous() and p.degree() > 1 for p in polys)
+    assert any(not p.is_homogeneous() for p in polys)
+    for p in polys:
+        for pt in point(p.num_vars) + point(p.num_vars):
+            got, want = p.evaluate(pt), fraction_evaluate(p, pt)
+            assert type(got) is Fraction and got == want and str(got) == str(want), (p, pt)
+        for bad in ((0,) * (p.num_vars + 1), ("1/2",) * (p.num_vars + 2)):
+            with pytest.raises(ValueError, match="^point length disagrees with variable count$"):
+                p.evaluate(bad)
+
+
 def test_compose_linear_with_zero_variables():
     p = Polynomial(2, {(0, 0): Fraction(3, 2), (1, 1): 5})
     assert p.compose_linear(Matrix([(), ()], cols=0)) == Polynomial(0, {(): Fraction(3, 2)})

@@ -6,12 +6,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import pytest
 
 from conftest import built_relation, exceptional
+from lagrel import exact_linalg
 from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
@@ -23,7 +24,7 @@ from lagrel.exact_linalg import (
     solve_right,
 )
 from lagrel.cli import _tally, reduction_checks
-from lagrel.invariants import invariant_slices
+from lagrel.invariants import invariant_slices, separate
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
@@ -574,6 +575,71 @@ def test_non_integral_weyl_group_is_closed():
             assert s.matrix @ t.matrix in matrices
     rel = rs.build_relation(check=True)
     assert rel.weyl_group == rs.weyl_group
+
+
+F = Fraction
+# per system: (x, y, related); the related gl pairs are w(x + t*alpha) for an
+# isotropic alpha orthogonal to x, the A2 ones s_(1,1)(x), with entries -1/4 and -5/12
+QUERY_POINTS = {
+    ("gl", 2, 1): [((3, 5, -3), (5, 4, -4), True), ((1, 2, 3), (2, 1, 4), False),
+                   ((F(1, 2), 2, F(-1, 2)), (2, F(3, 2), F(-3, 2)), True)],
+    ("gl", 3, 2): [((1, 2, 4, -4, 7), (2, 7, 1, 7, -7), True), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), False)],
+    "A2": [((2, 0), (1, -1), True), ((F(1, 2), F(1, 3)), (F(-1, 4), F(-5, 12)), True), ((2, 0), (3, 0), False)],
+}
+# one point as an int tuple (when integral), a list, Fractions, "p/q" strings or a generator
+POINT_FORMS = [tuple, list, lambda v: tuple(map(F, v)),
+               lambda v: tuple(f"{F(x).numerator}/{F(x).denominator}" for x in v), lambda v: (x for x in v)]
+
+
+def query_system(key):
+    rs = rootsystem_from_payload(A2_SKEWED) if key == "A2" else catalog(*key)
+    return rs, rs.build_relation() if key == "A2" else built_relation(*key)
+
+
+def query_answers(rs, rel, x, y):
+    """membership, class_membership (bool and witness) and the whole separation; x() and y() make the points."""
+    sep = separate(rel, x(), y())
+    return (rel.membership(x(), y()), rs.class_membership(x(), y()), sep,
+            sep.values and tuple(map(str, sep.values)))
+
+
+@pytest.mark.parametrize("key", list(QUERY_POINTS), ids=str)
+def test_point_queries_do_not_depend_on_the_input_type(key):
+    rs, rel = query_system(key)
+    queries = ((rel.membership, "relation dimension"), (rs.class_membership, "form dimension"),
+               (lambda a, b: separate(rel, a, b), "relation dimension"))
+    for x, y, related in QUERY_POINTS[key]:
+        want = query_answers(rs, rel, partial(tuple, x), partial(tuple, y))
+        assert want[0] == want[1][0] == related and (want[2].status == "equivalent") == related
+        for form in POINT_FORMS:
+            assert query_answers(rs, rel, partial(form, x), partial(tuple, y)) == want, (x, y, form)
+            assert query_answers(rs, rel, partial(tuple, x), partial(form, y)) == want, (x, y, form)
+        floaty = (0.5,) + tuple(x[1:])
+        for query, _ in queries:
+            for args in ((floaty, y), (x, floaty)):
+                with pytest.raises(TypeError, match="not an exact rational"):
+                    query(*args)
+    x = QUERY_POINTS[key][0][0]
+    for query, text in queries:
+        for bad in ((0,) * (rs.dim - 1), (0,) * (rs.dim + 1)):
+            for args in ((bad, x), (x, bad), (iter(bad), x)):
+                with pytest.raises(ValueError, match=f"^vector length disagrees with {text}$"):
+                    query(*args)
+
+
+def test_int_point_queries_make_no_fraction(monkeypatch):
+    # after one warm-up of each query (W, iso-sets and slices are cached), int tuples
+    # reach no `rational`: an `as_vector` pass in any query path would raise here
+    cases = [(*query_system(key), partial(tuple, x), partial(tuple, y))
+             for key in (("gl", 2, 1), ("gl", 3, 2)) for x, y, _ in QUERY_POINTS[key][:2]]
+    answers = [query_answers(*case) for case in cases]
+
+    def no_fraction(value):
+        raise AssertionError(f"rational({value!r}) on an int query")
+
+    monkeypatch.setattr(exact_linalg, "rational", no_fraction)
+    assert [query_answers(*case) for case in cases] == answers
+    assert {a[2].status for a in answers} == {"equivalent", "separated"}
 
 
 @pytest.mark.parametrize("entry", [("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
