@@ -21,7 +21,7 @@ print("first failure:", report.failures[0])
 print("\n== maximal iso-sets all have the defect cardinality ==")
 rs = catalog("gl", 2, 2)
 for s in rs.maximal_isosets():
-    print("maximal iso-set pairs:", [tuple(map(str, p)) for p in s.pairs])
+    print("maximal iso-set pairs:", [tuple(map(str, p)) for p in s])
 
 print("\n== two-step witnesses move isotropic roots within the Weyl group ==")
 beta = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))

@@ -47,7 +47,7 @@ from .invariants import (
     separate,
     weyl_invariant_space,
 )
-from .wgrs import IsoSet, RootSystem, catalog
+from .wgrs import RootSystem, catalog
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "BilinearForm",
     "ClosureBoundExceeded",
     "DiscriminantPolynomial",
-    "IsoSet",
     "Isometry",
     "LagrangianEquivalenceRelation",
     "LinearRelation",

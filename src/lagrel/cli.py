@@ -265,16 +265,14 @@ def monoid_checks(
     form: BilinearForm, a: LinearRelation, b: LinearRelation
 ) -> tuple[LinearRelation, dict[str, bool]]:
     """The composite c = compose(a, b) and the six named monoid checks on the pair."""
-    dim = form.dim
     c = compose(a, b)
-    p1k2 = Subspace(dim, [r[:dim] for r in a.k2.rows])
     return c, {
         "composition_lagrangian": c.is_lagrangian,
         "kernel_dims_equal": all(r.p1.dim == r.p2.dim for r in (a, b, c)),
         "atypicality_bounds": (
             max(a.atypicality, b.atypicality) <= c.atypicality <= a.atypicality + b.atypicality
         ),
-        "image_is_kernel_complement": orth_complement(form, p1k2) == a.p1,
+        "image_is_kernel_complement": orth_complement(form, a.k2) == a.p1,
         "inverse_composition_idempotent": _holds(lambda: classify_idempotent(compose(a, inverse(a))) == a.p1),
         "canonical_data_round_trip": _holds(lambda: relation_from_data(form, *canonical_data(a)) == a),
     }

@@ -548,7 +548,6 @@ class QuotientSpace(NamedTuple):
     kernel is exactly V1 (on all of V it is U-perp).
     """
 
-    space: Subspace
     kernel: Subspace
     projection: Matrix
     section: Matrix
@@ -583,4 +582,4 @@ def quotient(form: BilinearForm, v0: Subspace) -> QuotientSpace:
     gram = tuple(tuple(sum(map(mul, row, u)) for u in u_rows) for row in uh)
     induced = BilinearForm(_matrix(form.gram.den, gram, q))
     projection = solve_right(_matrix(1, gram, q), _matrix(1, uh, n))
-    return QuotientSpace(v0, v1, projection, section, induced)
+    return QuotientSpace(v1, projection, section, induced)

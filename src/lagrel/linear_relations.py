@@ -187,15 +187,13 @@ class LinearRelation:
 
     @cached_property
     def k2(self) -> Subspace:
-        """Ker(p2|L) = {(x, 0) in L}, as a subspace of V x V.
+        """{x : (x, 0) in L}, the image in V of Ker(p2|L).
 
         One `_echelon` of the rows (y | x), one per basis row (x, y) of L:
         its rows that vanish on the y block span the x with (x, 0) in L.
         """
         n = self.n
-        zero = (0,) * n
-        xs = _eliminate_prefix((r[n:] + r[:n] for r in self.space.rows), n)
-        return Subspace(2 * n, (x + zero for x in xs))
+        return Subspace(n, _eliminate_prefix((r[n:] + r[:n] for r in self.space.rows), n))
 
     @cached_property
     def is_isotropic(self) -> bool:

@@ -63,44 +63,6 @@ class ValidationReport(NamedTuple):
     failures: tuple[str, ...] = ()
 
 
-class IsoSet:
-    """A symmetric set of pairwise-orthogonal isotropic roots."""
-
-    __slots__ = ("roots", "pairs")
-
-    def __init__(self, roots: Iterable[Sequence[Rational]]):
-        closed = set()
-        for r in roots:
-            v = as_vector(r)
-            closed.add(v)
-            closed.add(tuple(-x for x in v))
-        pairs = tuple(sorted({_orient(v) for v in closed}))
-        object.__setattr__(self, "roots", frozenset(closed))
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("IsoSet is immutable")
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
-    def span_in(self, ambient_dim: int) -> Subspace:
-        return Subspace.from_vectors(self.pairs, ambient_dim=ambient_dim)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IsoSet) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __lt__(self, other: "IsoSet") -> bool:
-        return (len(self.pairs), self.pairs) < (len(other.pairs), other.pairs)
-
-    def __repr__(self) -> str:
-        return f"IsoSet({self.num_pairs} pairs)"
-
-
 class RootSystem:
     """Finite root list plus the ambient nondegenerate symmetric form."""
 
@@ -144,7 +106,7 @@ class RootSystem:
     def _iso_set_masks(self) -> tuple[int, ...]:
         """Each of iso_sets as the bit mask of its pairs' positions in iso_pairs."""
         bit = {p: 1 << i for i, p in enumerate(self.iso_pairs)}
-        return tuple(sum(bit[p] for p in s.pairs) for s in self.iso_sets)
+        return tuple(sum(bit[p] for p in s) for s in self.iso_sets)
 
     @cached_property
     def aniso_pairs(self) -> tuple[Vector, ...]:
@@ -232,20 +194,21 @@ class RootSystem:
     # -- combinatorics ----------------------------------------------------------
 
     @cached_property
-    def iso_sets(self) -> tuple[IsoSet, ...]:
-        """All iso-sets, the empty one included, sorted; enumerated once per system."""
+    def iso_sets(self) -> tuple[tuple[Vector, ...], ...]:
+        """All iso-sets, the empty one included, each the sorted tuple of its pairs from iso_pairs,
+        sorted by (size, pairs); enumerated once per system."""
         out = []
 
-        def extend(chosen: list[Vector], rest: list[Vector]):
-            out.append(IsoSet(chosen))
+        def extend(chosen: tuple[Vector, ...], rest: list[Vector]):
+            out.append(chosen)
             for i, cand in enumerate(rest):
                 nxt = [r for r in rest[i + 1:] if self.form.pairing(cand, r) == 0]
-                extend(chosen + [cand], nxt)
+                extend(chosen + (cand,), nxt)
 
-        extend([], list(self.iso_pairs))
-        return tuple(sorted(set(out)))
+        extend((), list(self.iso_pairs))
+        return tuple(sorted(out, key=lambda s: (len(s), s)))
 
-    def maximal_isosets(self, v: Sequence[Rational] | None = None) -> tuple[IsoSet, ...]:
+    def maximal_isosets(self, v: Sequence[Rational] | None = None) -> tuple[tuple[Vector, ...], ...]:
         """The iso-sets orthogonal to v (all when v is None) that lie inside no other.
 
         Without v they must all have one cardinality; AssertionError is raised if not.
@@ -261,13 +224,13 @@ class RootSystem:
             orth = sum(1 << i for i, (_, ip) in enumerate(self._iso_pair_ints.values()) if pair(ip, iv) == 0)
             candidates = [(s, m) for s, m in candidates if m & orth == m]
         maximal = tuple(s for s, m in candidates if not any(m & t == m != t for _, t in candidates))
-        if v is None and len({s.num_pairs for s in maximal}) > 1:
+        if v is None and len({len(s) for s in maximal}) > 1:
             raise AssertionError("maximal iso-sets of different cardinality")
         return maximal
 
     def defect(self) -> int:
         mx = self.maximal_isosets()
-        return mx[0].num_pairs if mx else 0
+        return len(mx[0]) if mx else 0
 
     # -- two-reflection witnesses -------------------------------------------------
 
@@ -338,8 +301,10 @@ class RootSystem:
 
     # -- transport of iso-sets ----------------------------------------------------
 
-    def transport_isoset(self, v: Sequence[Rational], s: IsoSet, s_prime: IsoSet) -> Isometry:
-        """w in Stab_W(v) with w(S) = S', by swapping one pair at a time."""
+    def transport_isoset(self, v: Sequence[Rational], s: tuple[Vector, ...],
+                         s_prime: tuple[Vector, ...]) -> Isometry:
+        """w in Stab_W(v) with w(S) = S', by swapping one pair at a time; S and S' are
+        tuples from maximal_isosets(v)."""
         self.require_valid()
         maximal = self.maximal_isosets(v)
         if s not in maximal or s_prime not in maximal:
@@ -347,19 +312,19 @@ class RootSystem:
         current = s
         w = Isometry.identity(self.form)
         guard = 0
-        while set(current.pairs) != set(s_prime.pairs):
+        while current != s_prime:
             guard += 1
             if guard > 4 * len(self.roots) + 4:
                 raise RuntimeError("iso-set transport failed to converge")
-            alpha = next(p for p in s_prime.pairs if p not in current.pairs)
+            alpha = next(p for p in s_prime if p not in current)
             beta = next(
-                (p for p in current.pairs if self.form.pairing(alpha, p) != 0),
+                (p for p in current if self.form.pairing(alpha, p) != 0),
                 None,
             )
             if beta is None:
                 raise ValueError("source iso-set is not maximal: nothing blocks the new pair")
             refl = self._shift_reflection(alpha, beta)
-            current = IsoSet([refl.apply(p) for p in current.pairs])
+            current = tuple(sorted(_orient(refl.apply(p)) for p in current))
             w = refl.compose(w)
         return w
 
@@ -395,10 +360,10 @@ class RootSystem:
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 
-    def _descriptions(self) -> Iterable[tuple[Isometry, IsoSet, LinearRelation]]:
+    def _descriptions(self) -> Iterable[tuple[Isometry, tuple[Vector, ...], LinearRelation]]:
         """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily; each read off E's rows."""
         for s in self.iso_sets:
-            e = idempotent_relation(self.form, orth_complement(self.form, s.span_in(self.dim)))
+            e = idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors(s, self.dim)))
             for w in self.weyl_group:
                 yield w, s, _then_isometry(e, w.matrix)
 
@@ -417,7 +382,7 @@ class RootSystem:
         if len(iv) != self.dim or len(ip) != self.dim:
             raise ValueError("vector length disagrees with form dimension")
         choices = self.maximal_isosets(iv)
-        pairs = choices[0].pairs if choices else ()
+        pairs = choices[0] if choices else ()
         k = len(pairs)
         cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
                         for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))

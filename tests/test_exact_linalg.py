@@ -250,7 +250,7 @@ def test_quotient_memo_returns_what_a_fresh_computation_returns():
         assert quotient(form, v0) is cached
         fresh = quotient.__wrapped__(form, v0)
         assert fresh is not cached
-        for field in ("space", "kernel", "projection", "section", "induced_form"):
+        for field in ("kernel", "projection", "section", "induced_form"):
             assert getattr(fresh, field) == getattr(cached, field)
 
 

@@ -384,10 +384,10 @@ def test_compose_matches_fiber_product(case):
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(st.just(n), relation_rows(n))))
 def test_k2_is_the_kernel_of_the_second_projection(case):
     n, rows = case
-    # {(x, 0) in L}: coefficients s with s.Y = 0, pushed through X
+    # {x : (x, 0) in L}: coefficients s with s.Y = 0, pushed through X
     coeffs = ref_nullspace(ref_transpose([r[n:] for r in rows], n), len(rows))
-    kernel = [ref_combine(s, [r[:n] for r in rows], n) + [Fraction(0)] * n for s in coeffs]
-    assert relation(n, rows).k2 == Subspace.from_vectors(kernel, ambient_dim=2 * n)
+    kernel = [ref_combine(s, [r[:n] for r in rows], n) for s in coeffs]
+    assert relation(n, rows).k2 == Subspace.from_vectors(kernel, ambient_dim=n)
 
 
 @settings(max_examples=200, deadline=None)

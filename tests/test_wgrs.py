@@ -7,11 +7,11 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
-from conftest import built_relation, exceptional
+from conftest import EXCEPTIONAL, built_relation, exceptional
 from lagrel import exact_linalg
 from lagrel.exact_linalg import (
     BilinearForm,
@@ -34,7 +34,6 @@ from lagrel.linear_relations import (
 )
 from lagrel.relation_monoid import _linked_classes, closure
 from lagrel.wgrs import (
-    IsoSet,
     RootSystem,
     catalog,
     rootsystem_from_payload,
@@ -44,6 +43,11 @@ from lagrel.wgrs import (
 
 def neg(v):
     return tuple(-x for x in v)
+
+
+def canonical_isoset(roots):
+    """The sorted pairs of a set of roots, each as its member with a positive first nonzero entry."""
+    return tuple(sorted({max(tuple(r), neg(r)) for r in roots}))
 
 
 def indecomposable_components(rs):
@@ -182,29 +186,39 @@ def test_maximal_isosets_gl11():
     rs = catalog("gl", 1, 1)
     mx = rs.maximal_isosets()
     assert len(mx) == 1
-    assert mx[0].num_pairs == 1
-    assert len(mx[0].roots) == 2
+    assert mx[0] == rs.iso_pairs
+    assert len(mx[0]) == 1
 
 
 def test_maximal_isosets_gl21():
     mx = catalog("gl", 2, 1).maximal_isosets()
     assert len(mx) == 2
-    assert all(s.num_pairs == 1 for s in mx)
+    assert all(len(s) == 1 for s in mx)
 
 
 def test_maximal_isosets_gl22():
     mx = catalog("gl", 2, 2).maximal_isosets()
     assert len(mx) == 2
-    assert all(s.num_pairs == 2 for s in mx)
+    assert all(len(s) == 2 for s in mx)
 
 
-ISOSET_ENTRIES = [("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4] + [("osp", 3, 2)]
+ISOSET_ENTRIES = ([("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
+                  + [("osp", 3, 2), ("osp", 4, 2), ("osp", 6, 4)] + EXCEPTIONAL)
+
+
+def reference_iso_sets(rs):
+    """Every set of pairwise-orthogonal pairs from iso_pairs, by size, then in combinations order."""
+    pairs = rs.iso_pairs
+    return [s for k in range(len(pairs) + 1) for s in combinations(pairs, k)
+            if all(rs.form.pairing(p, q) == 0 for p, q in combinations(s, 2))]
 
 
 @pytest.mark.parametrize("entry", ISOSET_ENTRIES)
 def test_maximal_isosets_contract(entry):
-    rs = catalog(*entry)
+    rs = exceptional(entry) if isinstance(entry, str) else catalog(*entry)
     pairing = rs.form.pairing
+    every = reference_iso_sets(rs)
+    assert list(rs.iso_sets) == every
     rng = random.Random(0)
     vectors = [(0,) * rs.dim, *rs.iso_pairs]
     vectors += [tuple(rng.randint(-2, 2) for _ in range(rs.dim)) for _ in range(5)]
@@ -213,13 +227,13 @@ def test_maximal_isosets_contract(entry):
         mx = rs.maximal_isosets(v)
         for s in mx:
             # an iso-set of pairs orthogonal to v ...
-            assert set(s.pairs) <= orth
-            assert all(pairing(p, q) == 0 for p in s.pairs for q in s.pairs)
+            assert set(s) <= orth
+            assert s in every
             # ... that no further pair orthogonal to v extends
-            assert not any(p not in s.pairs and all(pairing(p, q) == 0 for q in s.pairs) for p in orth)
-        for t in rs.iso_sets:
-            if set(t.pairs) <= orth:
-                assert any(t.roots <= s.roots for s in mx), (v, t.pairs)
+            assert not any(p not in s and all(pairing(p, q) == 0 for q in s) for p in orth)
+        for t in every:
+            if set(t) <= orth:
+                assert any(set(t) <= set(s) for s in mx), (v, t)
 
 
 def test_two_step_trivial_and_adjacent():
@@ -295,7 +309,7 @@ def test_transport_isoset_identity_and_swap():
     w = rs.transport_isoset(v, mx[0], mx[0])
     assert w.is_identity()
     w = rs.transport_isoset(v, mx[0], mx[1])
-    assert IsoSet([w.apply(p) for p in mx[0].pairs]) == mx[1]
+    assert canonical_isoset(w.apply(p) for p in mx[0]) == mx[1]
 
 
 def test_transport_isoset_with_base_vector():
@@ -305,13 +319,13 @@ def test_transport_isoset_with_base_vector():
     assert len(mx) == 2
     w = rs.transport_isoset(v, mx[0], mx[1])
     assert w.apply(v) == v
-    assert IsoSet([w.apply(p) for p in mx[0].pairs]) == mx[1]
+    assert canonical_isoset(w.apply(p) for p in mx[0]) == mx[1]
 
 
 def test_transport_rejects_non_maximal():
     rs = catalog("gl", 2, 2)
     mx = rs.maximal_isosets()
-    small = IsoSet([mx[0].pairs[0]])
+    small = mx[0][:1]
     with pytest.raises(ValueError):
         rs.transport_isoset((Fraction(0),) * 4, small, mx[1])
 
@@ -397,7 +411,7 @@ def test_class_membership_agreement_other_entries(name, m, n):
 def assert_witness(rs, v, v_prime, witness):
     """v' = w(v + sum c_i p_i) over the pairs p_i of the first maximal iso-set orthogonal to v."""
     w, coeffs = witness
-    pairs = rs.maximal_isosets(v)[0].pairs
+    pairs = rs.maximal_isosets(v)[0]
     assert len(coeffs) == len(pairs)
     shifted = [a + sum(c * p[i] for c, p in zip(coeffs, pairs)) for i, a in enumerate(as_vector(v))]
     assert w.apply(shifted) == as_vector(v_prime), (v, v_prime)
@@ -424,7 +438,7 @@ def reference_class_membership(rs, v, v_prime):
     w^-1 v' - v solves against the columns of the first maximal iso-set."""
     vv, vp = as_vector(v), as_vector(v_prime)
     choices = rs.maximal_isosets(vv)
-    pairs = choices[0].pairs if choices else ()
+    pairs = choices[0] if choices else ()
     mat = Matrix([[p[i] for p in pairs] for i in range(rs.dim)], cols=len(pairs))
     for w, w_inv in rs._weyl_and_inverses:
         diff = [a - b for a, b in zip(w_inv.apply(vp), vv)]
@@ -673,7 +687,7 @@ def test_describe_component(gl21):
     rs = catalog("gl", 2, 1)
     for comp in gl21.components:
         w, s = next((w, s) for w, s, rel in rs._descriptions() if rel.space == comp.space)
-        v0 = orth_complement(rs.form, s.span_in(rs.dim))
+        v0 = orth_complement(rs.form, Subspace.from_vectors(s, rs.dim))
         from lagrel.linear_relations import compose, graph, idempotent_relation
 
         rebuilt = compose(idempotent_relation(rs.form, v0), graph(w))
@@ -747,7 +761,7 @@ def test_transport_rejects_isoset_not_orthogonal_to_v():
     mx_v = rs.maximal_isosets(v)
     assert mx_v
     # maximal in V, but it holds a root through e1, which pairs with v
-    wide = next(s for s in rs.maximal_isosets() if any(rs.form.pairing(p, v) for p in s.pairs))
+    wide = next(s for s in rs.maximal_isosets() if any(rs.form.pairing(p, v) for p in s))
     with pytest.raises(ValueError):
         rs.transport_isoset(v, wide, mx_v[0])
     with pytest.raises(ValueError):
