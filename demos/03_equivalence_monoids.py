@@ -13,6 +13,7 @@ rel = catalog("gl", 2, 2).build_relation()
 print("components:", len(rel))
 print("Weyl group order:", len(rel.weyl_group))
 print("atypicality histogram:", rel.atypicality_histogram())
+print("closed, and generated by its generators:", rel.verify_closed())
 
 print("\n== special coisotropics and the discriminant ==")
 print("special coisotropic dims:", [u.dim for u in rel.special_coisotropics()])

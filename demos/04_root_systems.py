@@ -23,6 +23,13 @@ rs = catalog("gl", 2, 2)
 for s in rs.maximal_isosets():
     print("maximal iso-set pairs:", [tuple(map(str, p)) for p in s])
 
+print("\n== the Weyl group carries one maximal iso-set onto the other ==")
+s, s_prime = rs.maximal_isosets()
+w = rs.transport_isoset((0, 0, 0, 0), s, s_prime)
+print("w in W:", w in rs.weyl_group)
+print("w(S) = S' up to sign:",
+      {w.apply(p) for p in s} <= set(s_prime) | {tuple(-x for x in p) for p in s_prime})
+
 print("\n== two-step witnesses move isotropic roots within the Weyl group ==")
 beta = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
 beta_p = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))

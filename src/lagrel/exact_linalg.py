@@ -257,9 +257,6 @@ class Matrix:
             object.__setattr__(self, "_entries", tuple(tuple(Fraction(x, d) for x in row) for row in self.ints))
         return self._entries
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return _matrix(self.den, zip(*self.ints) if self.rows else ((),) * self.cols, self.rows)
 
@@ -376,10 +373,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (_unit_row(ambient_dim, j) for j in range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -389,12 +382,6 @@ class Subspace:
         """The RREF basis over Q (leading coefficients 1)."""
         den = lcm(*(r[_pivot(r)] for r in self.rows))
         return _matrix(den, (tuple(x * (den // r[_pivot(r)]) for x in r) for r in self.rows), self.ambient_dim)
-
-    def contains_vector(self, vec: Sequence[Rational]) -> bool:
-        _, row = _int_vector(vec)
-        if len(row) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        return _residual(row, self.rows) is None
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:

@@ -79,16 +79,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
-
-    @classmethod
     def one(cls, num_vars: int) -> "Polynomial":
         return cls(num_vars, {(0,) * num_vars: 1})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exponents: Sequence[int]) -> "Polynomial":
-        return cls(num_vars, {tuple(exponents): 1})
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Rational]) -> "Polynomial":
@@ -102,15 +94,8 @@ class Polynomial:
                 terms[tuple(exp)] = cc
         return cls(n, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         terms = dict(self.terms)
@@ -261,8 +246,6 @@ def _intersect_constraints(basis_rows: tuple, delta_cols: dict, mons: tuple,
                            t_vars: int, degree: int) -> tuple:
     """Intersect the span of basis_rows with the nullspace of the constraints."""
     k = len(basis_rows)
-    if k == 0:
-        return basis_rows
     t_mons = monomials(t_vars, degree)
     t_index = {e: i for i, e in enumerate(t_mons)}
     rows = [[0] * k for _ in t_mons]
@@ -372,8 +355,6 @@ def span_rows(polys: Sequence[Polynomial], degree: int) -> tuple:
 
 def contains_polynomial(basis: Sequence[Polynomial], poly: Polynomial, degree: int) -> bool:
     """Exact membership of poly in the span of a homogeneous basis."""
-    if poly.is_zero():
-        return True
     rows = span_rows(basis, degree)
     with_poly = span_rows(list(basis) + [poly], degree)
     return len(rows) == len(with_poly)

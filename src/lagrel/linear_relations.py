@@ -215,9 +215,6 @@ class LinearRelation:
             raise ValueError("atypicality is defined for Lagrangian relations")
         return self.dim - self.p1.dim
 
-    def contains_pair(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-        return self.space.contains_vector(_int_pair(x, y, self.n))
-
     def sort_key(self):
         return self.space.sort_key()
 

@@ -165,9 +165,6 @@ class RootSystem:
 
     # -- reflections and the Weyl group ----------------------------------------
 
-    def reflection(self, alpha: Sequence[Rational]) -> Isometry:
-        return Isometry.reflection(self.form, alpha)
-
     @cached_property
     def simple_reflections(self) -> tuple[Isometry, ...]:
         """Reflections in the simple roots: the positive (lexicographically, as for the
@@ -177,7 +174,7 @@ class RootSystem:
         self.require_valid()
         pos = self.aniso_pairs
         sums = {tuple(x + y for x, y in zip(a, b)) for i, a in enumerate(pos) for b in pos[i:]}
-        return tuple(self.reflection(a) for a in pos if a not in sums)
+        return tuple(Isometry.reflection(self.form, a) for a in pos if a not in sums)
 
     @cached_property
     def weyl_group(self) -> tuple[Isometry, ...]:
@@ -253,7 +250,7 @@ class RootSystem:
         """
         for gamma in (tuple(x - y for x, y in zip(b, b_p)), tuple(x + y for x, y in zip(b, b_p))):
             if gamma in self._root_set:
-                return self.reflection(gamma)
+                return Isometry.reflection(self.form, gamma)
         raise ValueError("shift axiom fails for a non-orthogonal isotropic pair")
 
     def two_step_witness(self, beta: Sequence[Rational], beta_p: Sequence[Rational]) -> Isometry:
@@ -284,7 +281,7 @@ class RootSystem:
                 raise AssertionError("two-step witness misses the target root")
             return w
         delta = self._connecting_anisotropic(b, bp)
-        beta1 = self.reflection(delta).apply(b)
+        beta1 = Isometry.reflection(self.form, delta).apply(b)
         if beta1 not in self._root_set:
             raise AssertionError("s_delta(beta) is not a root")
         first = self._shift_reflection(b, beta1)
@@ -345,27 +342,23 @@ class RootSystem:
 
     def build_relation(self, max_components: int = MAX_COMPONENTS,
                        check: bool = False) -> LagrangianEquivalenceRelation:
-        """The components of _descriptions(), bounded as by closure (W is walked first, under its
-        own bound), generated by relation_generators(); with check=True, AssertionError unless
-        their closure has the same components."""
+        """The components graph(w) o E_{S-perp} over iso-sets S and w in W, each read off E's
+        rows, bounded as by closure (W is walked first, under its own bound) and generated by
+        relation_generators(); with check=True, AssertionError unless their closure has the
+        same components."""
         if max_components <= 0:
             raise ValueError("closure bounds must be positive")
         self.require_valid()
         gens = self.relation_generators()
         pool: dict[Subspace, LinearRelation] = {}
-        for _, _, comp in self._descriptions():
-            _admit(pool, comp, max_components)
+        for s in self.iso_sets:
+            e = idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors(s, self.dim)))
+            for w in self.weyl_group:
+                _admit(pool, _then_isometry(e, w.matrix), max_components)
         rel = LagrangianEquivalenceRelation(self.form, pool.values(), gens)
         if check and closure(self.form, gens, max_components) != rel:
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
-
-    def _descriptions(self) -> Iterable[tuple[Isometry, tuple[Vector, ...], LinearRelation]]:
-        """(w, S, graph(w) o E_{S-perp}) over iso-sets S and w in W, lazily; each read off E's rows."""
-        for s in self.iso_sets:
-            e = idempotent_relation(self.form, orth_complement(self.form, Subspace.from_vectors(s, self.dim)))
-            for w in self.weyl_group:
-                yield w, s, _then_isometry(e, w.matrix)
 
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.

@@ -61,6 +61,11 @@ def rebased_form(form, rng):
     return BilinearForm(t_inv.transpose() @ form.gram @ t_inv), t
 
 
+def full_space(n: int) -> Subspace:
+    """All of Q^n, spanned by the unit vectors."""
+    return Subspace.from_vectors(Matrix.identity(n).entries)
+
+
 def random_coisotropic(form, rng):
     """V1-perp for V1 = g(span of k vectors e_i +- e_j), i and j distinct +1 and -1 coordinates
     of a diag(+-1) form and g = reference_isometry(form, rng, 2); all of V when k = 0."""
@@ -69,7 +74,7 @@ def random_coisotropic(form, rng):
     neg = [i for i, x in enumerate(diag) if x == -1]
     k = rng.randint(0, min(len(pos), len(neg)))
     if k == 0:
-        return Subspace.full(form.dim)
+        return full_space(form.dim)
     pis = rng.sample(pos, k)
     njs = rng.sample(neg, k)
     vectors = []

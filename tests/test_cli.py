@@ -155,6 +155,34 @@ def test_separate_command(tmp_path, capsys):
     assert report["membership"] is True
 
 
+def test_separate_command_exhausted(tmp_path, capsys):
+    path = tmp_path / "gl21.json"
+    assert run(capsys, "wgrs", "build", "gl", "2", "1", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "separate", str(path), "--x", "1,2,3", "--y", "4,5,7", "--dmax", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["separation"], report["membership"]) == ({"status": "exhausted"}, False)
+
+
+def test_generators_file_form_checks(tmp_path, capsys):
+    # a generator may repeat the file's form, but not name another; a file needs roots or generators
+    form = [["1/1", "0/1"], ["0/1", "-1/1"]]
+    diagonal = {"space": [["1/1", "0/1", "1/1", "0/1"], ["0/1", "1/1", "0/1", "1/1"]]}
+    cases = [
+        ({"form": form, "generators": [{**diagonal, "form": form}]}, 0, ""),
+        ({"form": form, "generators": [{**diagonal, "form": [["1/1", "0/1"], ["0/1", "1/1"]]}]},
+         1, "error: nested relation form disagrees with the file form\n"),
+        ({"form": form}, 1, "error: input file needs either a 'roots' or a 'generators' key\n"),
+    ]
+    for payload, expected_code, expected_err in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "analyze", str(path), "--degree", "1")
+        assert (code, err) == (expected_code, expected_err)
+        if code == 0:
+            assert json.loads(out)["num_components"] == 1
+
+
 def test_discriminant_command(tmp_path, capsys):
     path = build_gl11(tmp_path, capsys)
     code, out, _ = run(capsys, "discriminant", str(path))

@@ -189,11 +189,11 @@ def osp_span(p: int, q: int, d: int) -> list[Polynomial]:
     dim = m + n
     out = list(_products([(power_sums_of_squares(m, n, k), 2 * k) for k in range(1, d // 2 + 1)], d, dim))
     if not odd:
-        e = Polynomial.monomial(dim, [int(j < m) for j in range(dim)])
+        e = Polynomial(dim, {tuple(int(j < m) for j in range(dim)): 1})
         for i in range(m):
             for j in range(m, dim):
-                e = e * (Polynomial.monomial(dim, [2 * (k == i) for k in range(dim)])
-                         - Polynomial.monomial(dim, [2 * (k == j) for k in range(dim)]))
+                e = e * (Polynomial(dim, {tuple(2 * (k == i) for k in range(dim)): 1})
+                         - Polynomial(dim, {tuple(2 * (k == j) for k in range(dim)): 1}))
         if e.degree() <= d:
             gens = [(elementary_of_squares(dim, range(m), a), 2 * a) for a in range(1, m + 1)]
             gens += [(elementary_of_squares(dim, range(m, dim), b), 2 * b) for b in range(1, n + 1)]

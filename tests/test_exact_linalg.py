@@ -25,7 +25,7 @@ from lagrel.exact_linalg import (
     subspace_sum,
 )
 
-from conftest import random_coisotropic, rebased_form
+from conftest import full_space, random_coisotropic, rebased_form
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -118,7 +118,7 @@ def test_canonical_under_change_of_basis():
 def test_sum_intersect_trivial_cases():
     e1 = Subspace.from_vectors([[1, 0]])
     e2 = Subspace.from_vectors([[0, 1]])
-    assert subspace_sum(e1, e2) == Subspace.full(2)
+    assert subspace_sum(e1, e2) == full_space(2)
     assert subspace_intersect(e1, e2) == Subspace.zero(2)
     assert subspace_sum(e1, e1) == e1
     assert subspace_intersect(e1, e1) == e1
@@ -126,7 +126,7 @@ def test_sum_intersect_trivial_cases():
 
 def test_subspace_dim_mismatch_raises():
     with pytest.raises(ValueError):
-        subspace_sum(Subspace.full(2), Subspace.full(3))
+        subspace_sum(full_space(2), full_space(3))
 
 
 def split_form(dim):
@@ -149,7 +149,7 @@ def test_orth_complement_involution(dim):
 
 def test_orth_complement_of_zero_is_everything():
     form = split_form(3)
-    assert orth_complement(form, Subspace.zero(3)) == Subspace.full(3)
+    assert orth_complement(form, Subspace.zero(3)) == full_space(3)
 
 
 def test_hyperbolic_isotropic_line_is_self_orthogonal():
@@ -190,7 +190,7 @@ def test_bilinear_form_rejects_degenerate():
 
 def test_quotient_of_full_space_is_identity():
     form = split_form(3)
-    q = quotient(form, Subspace.full(3))
+    q = quotient(form, full_space(3))
     assert q.dim == 3
     assert q.projection == Matrix.identity(3)
     assert q.induced_form.gram == form.gram
@@ -256,7 +256,7 @@ def test_quotient_memo_returns_what_a_fresh_computation_returns():
 
 def test_quotient_memo_tells_forms_apart():
     # the same V0 under two forms of one dimension: a memo keyed by V0 alone returns the first
-    v0 = Subspace.full(2)
+    v0 = full_space(2)
     plus = quotient(BilinearForm.diagonal([1, 1]), v0)
     split = quotient(BilinearForm.diagonal([1, -1]), v0)
     assert plus.induced_form.gram == Matrix([[1, 0], [0, 1]])

@@ -1,7 +1,8 @@
 """Static checks on the source: no unused imports or dead nested functions in the
-package, tests or demos, no dead private helpers, no public function that only
-tests call and no `assert` statement in the package, no dead helper functions in
-tests or demos, and a package `__all__` that matches what `__init__.py` imports.
+package, tests or demos, no dead private helpers, no public function or method
+that only tests call and no `assert` statement in the package, no dead helper
+functions in tests or demos, and a package `__all__` that matches what
+`__init__.py` imports.
 
 Every check but the last reads the files with the standard library's `ast`
 only, so they run without importing the package; the last imports the command
@@ -86,16 +87,34 @@ def test_every_private_function_is_referenced():
     assert dead == []
 
 
-def test_every_public_function_has_a_caller():
-    # a public module-level function is read outside its own body by the package
-    # (re-exports in __init__.py do not count) or by a demo, so the package ships
-    # no helper that only tests call; methods are exempt
+def _caller_references() -> Counter:
+    """Names read by the package (re-exports in __init__.py do not count) and by the demos."""
     readers = [tree for module, tree in MODULES.items() if module != "__init__.py"]
     readers += [tree for script, tree in SCRIPTS.items() if script.startswith("demos/")]
-    total = sum(map(_references, readers), Counter())
+    return sum(map(_references, readers), Counter())
+
+
+def test_every_public_function_has_a_caller():
+    # a public module-level function is read outside its own body by the package
+    # or by a demo, so the package ships no helper that only tests call
+    total = _caller_references()
     unused = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in MODULES.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and total[node.name] - _references(node)[node.name] <= 0
+    ]
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller():
+    # the same rule for the public methods and properties of the package's classes,
+    # matched by attribute name: a method that only tests call is not shipped
+    total = _caller_references()
+    unused = [
+        f"{module}:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in MODULES.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         and total[node.name] - _references(node)[node.name] <= 0
     ]

@@ -24,6 +24,7 @@ from lagrel.exact_linalg import (
 )
 from lagrel.invariants import (
     Polynomial,
+    Separation,
     contains_polynomial,
     discriminant_polynomial,
     independent_evaluation_points,
@@ -46,9 +47,14 @@ from lagrel.wgrs import catalog, rootsystem_from_payload
 def reynolds_span(group, degree):
     """Oracle: span_rows of the group sums of every monomial of the degree."""
     n = group[0].form.dim
-    sums = [sum((Polynomial.monomial(n, e).compose_linear(s.matrix) for s in group), Polynomial.zero(n))
+    sums = [sum((Polynomial(n, {e: 1}).compose_linear(s.matrix) for s in group), Polynomial(n))
             for e in monomials(n, degree)]
     return span_rows(sums, degree)
+
+
+def term_degrees(p):
+    """The total degrees of the terms of p: one value exactly when p is homogeneous and nonzero."""
+    return {sum(e) for e in p.terms}
 
 
 def verify_invariants(relation, polys):
@@ -280,6 +286,22 @@ def test_separate_distinct_points(gl11):
     assert (res.status, res.degree, res.polynomial, res.values) == ("separated", 1, lin, (1, 0))
 
 
+def test_zero_polynomial_lies_in_every_span(gl11):
+    # the zero polynomial adds no rank to a span, the empty span included
+    for d in range(3):
+        assert contains_polynomial(invariant_space(gl11, d), Polynomial(2), d)
+    assert contains_polynomial([], Polynomial(2), 2)
+
+
+def test_separate_exhausted_below_the_first_separating_degree(gl21):
+    # unrelated points that the degree-1 invariant x0 + x1 + x2 separates: with d_max = 0
+    # the search has no degree to try
+    x, y = (1, 2, 3), (4, 5, 7)
+    assert not gl21.membership(x, y)
+    assert separate(gl21, x, y, d_max=0) == Separation("exhausted")
+    assert separate(gl21, x, y, d_max=1).degree == 1
+
+
 def test_product_with_point_relation(gl11):
     trivial = closure(BilinearForm.diagonal([1]), [])
     for d in range(4):
@@ -314,7 +336,7 @@ def test_polynomial_algebra_basics():
     p = (x + y) * (x - y)
     assert p == Polynomial(2, {(2, 0): 1, (0, 2): -1})
     assert p.evaluate((3, 2)) == 5
-    assert p.degree() == 2 and p.is_homogeneous()
+    assert p.degree() == 2 and term_degrees(p) == {2}
     sub = p.compose_linear(Matrix([[1, 1], [1, -1]]))
     assert sub == Polynomial(2, {(1, 1): 4})
 
@@ -330,7 +352,7 @@ def test_graded_invariant_basis(gl11):
     assert bases[0] == [Polynomial.one(2)]
     assert verify_invariants(gl11, [f for b in bases for f in b])
     # the degree-1 slice is spanned by x0 + x1, so x0 alone is not invariant
-    x0 = Polynomial.monomial(2, (1, 0))
+    x0 = Polynomial(2, {(1, 0): 1})
     assert not verify_invariants(gl11, bases[1] + [x0])
 
 
@@ -400,8 +422,8 @@ def test_evaluate_matches_the_fraction_oracle():
                 exp[rng.randrange(n)] += 1
             terms[tuple(exp)] = frac()
         polys.append(Polynomial(n, terms))
-    assert any(p.is_homogeneous() and p.degree() > 1 for p in polys)
-    assert any(not p.is_homogeneous() for p in polys)
+    assert any(len(term_degrees(p)) == 1 and p.degree() > 1 for p in polys)
+    assert any(len(term_degrees(p)) > 1 for p in polys)
     for p in polys:
         for pt in point(p.num_vars) + point(p.num_vars):
             got, want = p.evaluate(pt), fraction_evaluate(p, pt)

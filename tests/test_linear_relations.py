@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_anisotropic_vector, random_coisotropic, rebased_form, reference_isometry, relation_to_payload
+from conftest import full_space, random_anisotropic_vector, random_coisotropic, rebased_form, reference_isometry, relation_to_payload
 from lagrel.cli import monoid_checks
 from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
 from lagrel.linear_relations import (
@@ -185,14 +185,14 @@ def test_idempotent_examples():
     assert compose(e, e) == e
     assert e.atypicality == 1
     # the class of 0 is the whole isotropic line
-    assert e.contains_pair((0, 0), (3, -3))
-    assert not e.contains_pair((1, 0), (0, 1))
+    assert e.space.contains(Subspace.from_vectors([(0, 0, 3, -3)]))
+    assert not e.space.contains(Subspace.from_vectors([(1, 0, 0, 1)]))
     assert classify_idempotent(e) == iso_line()
 
 
 def test_idempotent_full_space_is_diagonal():
     form = suite_form(3)
-    assert idempotent_relation(form, Subspace.full(3)) == diagonal(form)
+    assert idempotent_relation(form, full_space(3)) == diagonal(form)
 
 
 def test_idempotent_requires_coisotropic():
@@ -248,7 +248,7 @@ def test_canonical_data_examples():
     rng = random.Random(12)
     s = some_isometry(form, rng)
     v0, v0p, alpha = canonical_data(graph(s))
-    assert v0 == Subspace.full(3) and v0p == Subspace.full(3)
+    assert v0 == full_space(3) and v0p == full_space(3)
     assert alpha == s.matrix
     e = idempotent_relation(GL11, iso_line())
     v0, v0p, alpha = canonical_data(e)

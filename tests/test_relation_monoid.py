@@ -26,7 +26,7 @@ from lagrel.relation_monoid import (
 )
 from lagrel import catalog
 
-from conftest import built_relation
+from conftest import built_relation, full_space
 
 GL11 = BilinearForm.diagonal([1, -1])
 
@@ -133,7 +133,7 @@ def test_weyl_groups_of_catalog(gl21, gl22):
 
 
 def test_special_coisotropics_and_discriminant(gl11, gl21):
-    assert gl11.special_coisotropics() == (Subspace.from_vectors([[1, -1]]), Subspace.full(2))
+    assert gl11.special_coisotropics() == (Subspace.from_vectors([[1, -1]]), full_space(2))
     assert gl11.discriminant() == (Subspace.from_vectors([[1, -1]]),)
     disc = gl21.discriminant()
     assert len(disc) == 2
@@ -170,7 +170,7 @@ def test_membership(gl11):
 
 
 def test_reduce_by_full_space_is_identity(gl21):
-    assert gl21.reduce(Subspace.full(3)) == gl21
+    assert gl21.reduce(full_space(3)) == gl21
 
 
 def test_reduce_gl21_hyperplane(gl21):
@@ -195,6 +195,17 @@ def test_one_regular(gl11, gl21, gl22):
     ok, _ = prod.is_one_regular()
     assert not ok
     assert prod.is_one_semiregular()
+
+
+def test_codimension_two_discriminant_is_not_one_regular():
+    # E for the Lagrangian V0 = span{e1+e3, e2+e4} under diag(1, 1, -1, -1): the one
+    # discriminant subspace is V0 itself, of codimension 2, so there is no hyperplane witness
+    form = BilinearForm.diagonal([1, 1, -1, -1])
+    v0 = orth_complement(form, Subspace.from_vectors([[1, 0, 1, 0], [0, 1, 0, 1]]))
+    rel = closure(form, [idempotent_relation(form, v0)])
+    assert len(rel) == 2
+    assert [u.dim for u in rel.discriminant()] == [2]
+    assert rel.is_one_regular() == (False, None)
 
 
 def test_reduced_weyl_group(gl11, gl21, gl22):

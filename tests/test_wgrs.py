@@ -28,6 +28,7 @@ from lagrel.invariants import invariant_slices, separate
 from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
+    compose,
     generate_group,
     graph,
     idempotent_relation,
@@ -446,7 +447,7 @@ def reference_class_membership(rs, v, v_prime):
             coeffs = solve_right(mat, Matrix([[d] for d in diff], cols=1))
         except ValueError:
             continue
-        return True, (w, tuple(coeffs.column(0)))
+        return True, (w, tuple(row[0] for row in coeffs.entries))
     return False, None
 
 
@@ -684,14 +685,14 @@ def test_weyl_group_is_built_once():
 
 
 def test_describe_component(gl21):
+    # each component is graph(w) o E_{S-perp} for an iso-set S and w in W, composed here
+    # rather than read off E's rows as build_relation does
     rs = catalog("gl", 2, 1)
     for comp in gl21.components:
-        w, s = next((w, s) for w, s, rel in rs._descriptions() if rel.space == comp.space)
-        v0 = orth_complement(rs.form, Subspace.from_vectors(s, rs.dim))
-        from lagrel.linear_relations import compose, graph, idempotent_relation
-
-        rebuilt = compose(idempotent_relation(rs.form, v0), graph(w))
-        assert rebuilt == comp
+        assert any(
+            compose(idempotent_relation(rs.form, orth_complement(rs.form, Subspace.from_vectors(s, rs.dim))),
+                    graph(w)) == comp
+            for s in rs.iso_sets for w in rs.weyl_group)
 
 
 def test_reduce_by_root_gl11():
@@ -774,7 +775,7 @@ LEAN_ENTRIES = ([("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n 
 
 def full_generators(rs):
     """Every anisotropic reflection's graph and every isotropic pair's idempotent."""
-    gens = [graph(rs.reflection(a)) for a in rs.aniso_pairs]
+    gens = [graph(Isometry.reflection(rs.form, a)) for a in rs.aniso_pairs]
     gens += [idempotent_relation(rs.form, orth_complement(rs.form, Subspace.from_vectors([a])))
              for a in rs.iso_pairs]
     return gens
@@ -795,7 +796,7 @@ def test_lean_generators_give_the_full_closure(entry):
 @pytest.mark.parametrize("entry", LEAN_ENTRIES, ids=lambda e: "-".join(map(str, e)))
 def test_simple_reflections_generate_the_weyl_group(entry):
     rs = catalog(*entry)
-    every = generate_group(rs.form, map(rs.reflection, rs.aniso_pairs), 10**5)
+    every = generate_group(rs.form, map(partial(Isometry.reflection, rs.form), rs.aniso_pairs), 10**5)
     assert generate_group(rs.form, rs.simple_reflections, 10**5) == every == rs.weyl_group
     # a simple root is not a sum of two positive roots, so the simple roots are independent
     assert len(rs.simple_reflections) == Subspace.from_vectors(rs.aniso_pairs, ambient_dim=rs.dim).dim
