@@ -272,9 +272,6 @@ class Matrix:
         d *= self.den
         return tuple(Fraction(sum(map(mul, row, v)), d) for row in self.ints)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.ints == tuple(zip(*self.ints))
-
     def rank(self) -> int:
         return len(_echelon(self.ints))
 
@@ -369,10 +366,6 @@ class Subspace:
             raise ValueError("vector length disagrees with ambient dimension")
         return cls(ambient_dim, _int_rows(vecs))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -426,7 +419,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     if not a.rows or not b.rows:
-        return Subspace.zero(n)
+        return Subspace(n)
     return Subspace(n, _eliminate_prefix([r + r for r in a.rows] + [r + (0,) * n for r in b.rows], n))
 
 
@@ -463,7 +456,7 @@ class BilinearForm:
     def __init__(self, gram: Matrix):
         if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        if not gram.is_symmetric():
+        if gram.ints != tuple(zip(*gram.ints)):
             raise ValueError("Gram matrix must be symmetric")
         if gram.rank() != gram.rows:
             raise ValueError("Gram matrix must be invertible (nondegenerate form)")

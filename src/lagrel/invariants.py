@@ -78,36 +78,8 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def one(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
-    @classmethod
-    def linear_form(cls, coeffs: Sequence[Rational]) -> "Polynomial":
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            cc = rational(c)
-            if cc:
-                exp = [0] * n
-                exp[i] = 1
-                terms[tuple(exp)] = cc
-        return cls(n, terms)
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.num_vars, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         terms: dict = {}
@@ -116,10 +88,6 @@ class Polynomial:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
         return Polynomial(self.num_vars, terms)
-
-    def scale(self, c: Rational) -> "Polynomial":
-        cc = rational(c)
-        return Polynomial(self.num_vars, {e: cc * v for e, v in self.terms.items()})
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """The value at a point read once as integers p over d: the integer sum of
@@ -154,12 +122,6 @@ class Polynomial:
             factor = m.den ** d
             terms.update((texp, v / factor) for texp, v in acc.items())
         return Polynomial(m.cols, terms)
-
-    def leading_monomial(self) -> tuple[int, ...]:
-        """Largest monomial in graded lexicographic order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda e: (sum(e), e))
 
     def coefficient_row(self, index: dict[tuple[int, ...], int], width: int) -> list[Fraction]:
         row = [Fraction(0)] * width
@@ -380,13 +342,13 @@ def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> Discrimi
     if not relation.is_one_regular()[0]:
         raise ValueError("relation is not 1-regular with a codimension-1 witness")
     n = relation.n
-    t = Polynomial.one(n)
+    t = Polynomial(n, {(0,) * n: 1})
     orbit = relation.discriminant()
     for h in orbit:
         (normal,) = _nullspace(h.rows, n)
-        t = t * Polynomial.linear_form(normal)
-    lead = t.terms[t.leading_monomial()]
-    t = t.scale(Fraction(1, 1) / lead)
+        t = t * Polynomial(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(normal)})
+    lead = t.terms[max(t.terms)]  # T is homogeneous, so its lex-largest monomial leads in graded lex
+    t = Polynomial(n, {e: c / lead for e, c in t.terms.items()})
     return DiscriminantPolynomial(t, len(orbit), orbit)
 
 

@@ -359,11 +359,8 @@ def relation_from_data(form: BilinearForm, v0: Subspace, v0p: Subspace, alpha: M
 # ---------------------------------------------------------------------------
 
 
-def relation_from_payload(payload: dict, form: BilinearForm | None = None) -> LinearRelation:
-    if form is None:
-        gram = payload["form"]
-        form = BilinearForm(Matrix(gram, cols=len(gram)))
-    elif "form" in payload:
+def relation_from_payload(payload: dict, form: BilinearForm) -> LinearRelation:
+    if "form" in payload:
         given = Matrix(payload["form"], cols=form.dim)
         if given != form.gram:
             raise ValueError("nested relation form disagrees with the file form")
@@ -383,15 +380,10 @@ def relation_from_payload(payload: dict, form: BilinearForm | None = None) -> Li
 # ---------------------------------------------------------------------------
 
 
-def standard_form(pos: int, neg: int) -> BilinearForm:
-    """diag(1,...,1,-1,...,-1) with pos ones and neg minus-ones."""
-    return BilinearForm.diagonal([1] * pos + [-1] * neg)
-
-
 def suite_form(dim: int) -> BilinearForm:
     """The split diagonal form used by the randomized suites in dimension dim."""
     neg = dim // 2
-    return standard_form(dim - neg, neg)
+    return BilinearForm.diagonal([1] * (dim - neg) + [-1] * neg)
 
 
 def random_isometry(form: BilinearForm, rng: random.Random, max_reflections: int = 3) -> Isometry | None:
@@ -427,7 +419,7 @@ def _random_iso_span(form: BilinearForm, rng: random.Random) -> Subspace:
     split = _split_indices(form)
     k = 0 if split is None else rng.randint(0, min(map(len, split)))
     if k == 0:
-        return Subspace.zero(form.dim)
+        return Subspace(form.dim)
     pos, neg = split
     vectors = []
     for i, j in zip(rng.sample(pos, k), rng.sample(neg, k)):

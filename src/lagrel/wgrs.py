@@ -226,8 +226,7 @@ class RootSystem:
         return maximal
 
     def defect(self) -> int:
-        mx = self.maximal_isosets()
-        return len(mx[0]) if mx else 0
+        return len(self.maximal_isosets()[0])
 
     # -- two-reflection witnesses -------------------------------------------------
 
@@ -374,8 +373,7 @@ class RootSystem:
         (dv, iv), (dp, ip) = _int_vector(v), _int_vector(v_prime)
         if len(iv) != self.dim or len(ip) != self.dim:
             raise ValueError("vector length disagrees with form dimension")
-        choices = self.maximal_isosets(iv)
-        pairs = choices[0] if choices else ()
+        pairs = self.maximal_isosets(iv)[0]
         k = len(pairs)
         cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
                         for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))

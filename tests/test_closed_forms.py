@@ -148,7 +148,7 @@ def test_gl_slices_are_spanned_by_power_sum_products(entry):
     for d, basis in enumerate(slices, start=1):
         products = []
         for lam in _partitions(d):
-            prod = Polynomial.one(m + n)
+            prod = Polynomial(m + n, {(0,) * (m + n): 1})
             for k in lam:
                 prod = prod * sums[k - 1]
             products.append(prod)
@@ -158,7 +158,7 @@ def test_gl_slices_are_spanned_by_power_sum_products(entry):
 def _products(gens, degree: int, num_vars: int):
     """Every product, with repetition, of the (polynomial, degree) pairs gens whose degrees sum to degree."""
     if degree == 0:
-        yield Polynomial.one(num_vars)
+        yield Polynomial(num_vars, {(0,) * num_vars: 1})
         return
     for i, (g, e) in enumerate(gens):
         if e <= degree:
@@ -192,8 +192,8 @@ def osp_span(p: int, q: int, d: int) -> list[Polynomial]:
         e = Polynomial(dim, {tuple(int(j < m) for j in range(dim)): 1})
         for i in range(m):
             for j in range(m, dim):
-                e = e * (Polynomial(dim, {tuple(2 * (k == i) for k in range(dim)): 1})
-                         - Polynomial(dim, {tuple(2 * (k == j) for k in range(dim)): 1}))
+                e = e * Polynomial(dim, {tuple(2 * (k == i) for k in range(dim)): 1,
+                                         tuple(2 * (k == j) for k in range(dim)): -1})
         if e.degree() <= d:
             gens = [(elementary_of_squares(dim, range(m), a), 2 * a) for a in range(1, m + 1)]
             gens += [(elementary_of_squares(dim, range(m, dim), b), 2 * b) for b in range(1, n + 1)]

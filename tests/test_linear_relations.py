@@ -26,7 +26,6 @@ from lagrel.linear_relations import (
     random_pairs,
     relation_from_data,
     relation_from_payload,
-    standard_form,
     suite_form,
 )
 
@@ -49,7 +48,7 @@ def iso_line():
 
 
 def test_relation_pairing_examples():
-    form = standard_form(2, 0)
+    form = BilinearForm.diagonal([1, 1])
     v = ((1, 0), (1, 0))
     assert relation_pairing(form, v, v) == 0
     e1 = ((1, 0), (0, 0))
@@ -280,7 +279,7 @@ def test_form_mismatch_raises():
 def test_relation_payload_round_trip():
     rng = random.Random(15)
     rel = random_lagrangian(suite_form(3), rng)
-    assert relation_from_payload(relation_to_payload(rel)) == rel
+    assert relation_from_payload(relation_to_payload(rel), rel.form) == rel
 
 
 def test_round_trip_computes_each_quotient_once():

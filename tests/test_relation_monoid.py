@@ -252,6 +252,10 @@ def test_semiregularity(gl11, gl21, gl22):
         Subspace.from_vectors([[0, 1, 0, 0], [0, 0, 0, 1]], ambient_dim=4),
     ]
     assert prod.split_by_decomposition(wrong) is None
+    # factors that do not span V, then factors that span V but are not orthogonal
+    assert gl21.split_by_decomposition([Subspace.from_vectors([[1, 0, 0]])]) is None
+    halves = [Subspace.from_vectors([[1, 0, 0], [0, 1, 0]]), Subspace.from_vectors([[1, 0, 1]])]
+    assert gl21.split_by_decomposition(halves) is None
 
 
 def test_atypicality_histogram(gl22):

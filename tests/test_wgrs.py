@@ -203,6 +203,18 @@ def test_maximal_isosets_gl22():
     assert all(len(s) == 2 for s in mx)
 
 
+DEFECT_ENTRIES = [("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2), ("gl", 3, 2), ("gl", 3, 0), ("osp", 3, 2),
+                  ("osp", 4, 2), ("osp", 4, 4), ("osp", 5, 4), ("osp", 2, 2), ("osp", 6, 4)]
+
+
+@pytest.mark.parametrize("entry", DEFECT_ENTRIES)
+def test_defect_closed_form(entry):
+    """The defect is min(m, n) for gl(m|n) and min(p // 2, q // 2) for osp(p|q)."""
+    name, a, b = entry
+    expected = min(a, b) if name == "gl" else min(a // 2, b // 2)
+    assert catalog(*entry).defect() == expected
+
+
 ISOSET_ENTRIES = ([("gl", m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
                   + [("osp", 3, 2), ("osp", 4, 2), ("osp", 6, 4)] + EXCEPTIONAL)
 
