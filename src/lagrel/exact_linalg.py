@@ -6,8 +6,8 @@ equal subspaces therefore have identical (and identically hashable)
 representations, no matter how they were constructed.  Rank, inverses and
 solves read it directly; intersections, composites and kernels read the rows
 of a stacked block's echelon that vanish on its first block
-(`_eliminate_prefix`).  Nullspaces serve only `orth_complement` and the
-invariant solver.
+(`_eliminate_prefix`).  Nullspaces serve only `orth_complement`; the
+invariant solver runs its own sparse elimination.
 
 A `Matrix` M is held as one integer matrix over one denominator: `den` > 0
 and `ints` = den*M, with gcd(den, all of ints) = 1, which makes the pair

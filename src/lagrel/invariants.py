@@ -5,9 +5,11 @@ invariant condition f(x) = f(y) is homogeneous-degree preserving, so the
 (possibly non-Noetherian) ring C[V]^R is computed one graded slice at a
 time by one lazy sweep, invariant_slices: the constraints of the relation's
 generators (every non-diagonal component of one built without them) are
-expanded symbolically over Q, one degree further per step, and intersected
-as exact nullspaces.  Each relation object keeps its sweep and the slices
-swept so far, so repeated queries on one object sweep each degree once.
+expanded symbolically in integers, one degree further per step, as sparse
+rows; one fraction-free elimination per degree takes the rows of all the
+generators, and the slice is read off its free columns.  Each relation
+object keeps its sweep and the slices swept so far, so repeated queries on
+one object sweep each degree once.
 invariant_space(R, d) is the sweep's degree-d slice.  Generators suffice: an
 f constant on L1 and on L2 is constant on L1 o L2, through the middle point,
 and on the transpose, and closure() makes every component a word in the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice, product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
@@ -33,8 +35,8 @@ from .exact_linalg import (
     _echelon,
     _int_rows,
     _int_vector,
-    _nullspace,
     _pivot,
+    _primitive,
     format_rational,
     quotient,
     rational,
@@ -110,10 +112,12 @@ class Polynomial:
         """Substitute x_i = sum_j m[i][j] t_j; result lives in m.cols variables."""
         if m.rows != self.num_vars:
             raise ValueError("substitution matrix has the wrong number of rows")
-        if not self.num_vars:  # no rows to tell _substitutions the width
-            return Polynomial(m.cols, {(0,) * m.cols: c for c in self.terms.values()})
+        nonzeros = [[(j, w) for j, w in enumerate(row) if w] for row in m.ints]
+        sub = {(0,) * self.num_vars: {(0,) * m.cols: 1}}
         terms: dict = {}
-        for d, sub in zip(range(self.degree() + 1), _substitutions(m.ints)):
+        for d in range(self.degree() + 1):
+            if d:
+                sub = _substitute(sub, _degree_table(monomials(self.num_vars, d)), nonzeros)
             acc: dict = {}
             for e, c in self.terms.items():
                 if sum(e) == d:
@@ -175,57 +179,92 @@ def polynomial_to_payload(poly: Polynomial) -> dict[str, str]:
 #
 # For one component L with basis rows (x_k | y_k), the points of L are
 # (X^T t, Y^T t), so f is constant on L-classes iff f(X^T t) - f(Y^T t)
-# vanishes identically in t.  The coefficients of that polynomial in t are
-# linear constraints on the coefficients of f.  The relation's generators (see
-# the module docstring) contribute, and the intersection of their nullspaces is
-# computed incrementally.
+# vanishes identically in t.  The coefficient of each t-monomial in that
+# polynomial is one sparse linear constraint {monomial index: int} on the
+# coefficients of f.  The constraints of all the relation's generators (see
+# the module docstring) go through one sparse elimination per degree, and the
+# slice is read off its free columns.
 # ---------------------------------------------------------------------------
 
 
-def _substitutions(m_rows: Sequence[Sequence[int]]) -> Iterator[dict]:
-    """Yield, for degree 0, 1, 2, ..., exp -> {t-exp: int coeff} for x^exp composed
-    with the integer matrix; degree d is built from degree d - 1 alone."""
-    n = len(m_rows)
-    p = len(m_rows[0]) if n else 0
-    sub: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * n: {(0,) * p: 1}}
-    for deg in count(1):
-        yield sub
-        prev, sub = sub, {}
-        for e in monomials(n, deg):  # x^e = x_i * x^(e - e_i), i the first variable of e
-            i = next(k for k, v in enumerate(e) if v)
-            acc: dict[tuple[int, ...], int] = {}
-            row = m_rows[i]
-            for texp, c in prev[tuple(v - 1 if k == i else v for k, v in enumerate(e))].items():
-                for j in range(p):
-                    w = row[j]
-                    if w:
-                        key = tuple(v + 1 if k == j else v for k, v in enumerate(texp))
-                        acc[key] = acc.get(key, 0) + c * w
-            sub[e] = {k: v for k, v in acc.items() if v}
+def _degree_table(mons: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """(e, i, e - e_i) for each exponent e of one positive degree, i the first variable of e."""
+    firsts = (next(k for k, v in enumerate(e) if v) for e in mons)
+    return [(e, i, e[:i] + (e[i] - 1,) + e[i + 1:]) for e, i in zip(mons, firsts)]
 
 
-def _intersect_constraints(basis_rows: tuple, delta_cols: dict, mons: tuple,
-                           t_vars: int, degree: int) -> tuple:
-    """Intersect the span of basis_rows with the nullspace of the constraints."""
-    k = len(basis_rows)
-    t_mons = monomials(t_vars, degree)
-    t_index = {e: i for i, e in enumerate(t_mons)}
-    rows = [[0] * k for _ in t_mons]
-    support = [[(i, c) for i, c in enumerate(brow) if c] for brow in basis_rows]
-    for j, entries in enumerate(support):
-        for e_idx, coeff in entries:
-            for texp, w in delta_cols.get(mons[e_idx], {}).items():
-                rows[t_index[texp]][j] += coeff * w
-    if not any(any(r) for r in rows):
-        return basis_rows
-    new_rows = []
-    for y in _nullspace(rows, k):
-        acc = [0] * len(mons)  # y times the basis, over each row's nonzero entries
-        for yj, entries in zip(y, support):
-            for i, c in entries:
-                acc[i] += yj * c
-        new_rows.append(acc)
-    return _echelon(new_rows)
+def _substitute(prev: dict, table: Sequence[tuple], nonzeros: Sequence[Sequence[tuple[int, int]]]) -> dict:
+    """exp -> {t-exp: int coeff} of x^exp composed with an integer matrix m, for the exponents
+    of one degree's table, from the degree below's: x^e = x_i * x^(e - e_i), and nonzeros[i]
+    lists the (j, w) with w = m[i][j] != 0."""
+    sub = {}
+    for e, i, rest in table:
+        acc: dict[tuple[int, ...], int] = {}
+        row = nonzeros[i]
+        for texp, c in prev[rest].items():
+            for j, w in row:
+                key = texp[:j] + (texp[j] + 1,) + texp[j + 1:]
+                acc[key] = acc.get(key, 0) + c * w
+        sub[e] = {k: v for k, v in acc.items() if v}
+    return sub
+
+
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    """The sparse row without its zero entries, divided by its content."""
+    row = {j: v for j, v in row.items() if v}
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
+
+
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """p * row - a * prow, with a = row[c] and p = prow[c]: zero at c."""
+    a, p = row[c], prow[c]
+    out = {j: v * p for j, v in row.items()} if p != 1 else dict(row)
+    for j, v in prow.items():
+        out[j] = out.get(j, 0) - a * v
+    return out
+
+
+def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fold sparse integer rows {column: int} into pivots, a fully reduced fraction-free echelon:
+    primitive rows keyed by their pivot, the row's last nonzero column, each zero at every other
+    pivot.  Returns pivots."""
+    for row in rows:
+        for c in [c for c, v in row.items() if v and c in pivots]:  # pivot rows vanish at other pivots
+            row = _cancel(row, pivots[c], c)
+        row = _content_free(row)
+        if row:
+            c = max(row)
+            for k, prow in pivots.items():  # a pivot row holding c has its pivot right of c
+                if c in prow:
+                    pivots[k] = _content_free(_cancel(prow, row, c))
+            pivots[c] = row
+    return pivots
+
+
+def _kernel_rows(pivots: dict[int, dict[int, int]], ncols: int) -> tuple:
+    """_echelon(_nullspace(rows, ncols)) for the rows folded into pivots by _eliminate.
+
+    Free column j gives L at j and -r[j] * L / r[c] at the pivot c of each pivot row r
+    with r[j] != 0, L the lcm of those r[c], over its content.  Each such c lies right of
+    j, so the row is zero at every other free column and leads with L > 0 at j: these
+    are the canonical reduced echelon rows of the nullspace, in pivot order.
+    """
+    hits: dict[int, list] = {}
+    for c, r in pivots.items():
+        for j in r:  # j = c is a pivot column, never read
+            hits.setdefault(j, []).append((c, r))
+    out = []
+    for j in range(ncols):
+        if j not in pivots:
+            col = hits.get(j, ())
+            scale = lcm(*(r[c] for c, r in col))
+            vec = [0] * ncols
+            vec[j] = scale
+            for c, r in col:
+                vec[c] = -r[j] * (scale // r[c])
+            out.append(_primitive(vec))
+    return tuple(out)
 
 
 def _rows_to_polynomials(rows: Iterable[Sequence[int]], mons: tuple, num_vars: int) -> list[Polynomial]:
@@ -240,31 +279,31 @@ def _rows_to_polynomials(rows: Iterable[Sequence[int]], mons: tuple, num_vars: i
 def _sweep(n: int, generators: Sequence[LinearRelation]) -> Iterator[list[Polynomial]]:
     """Bases of the degree 0, 1, 2, ... slices of the invariants of the generators in n variables.
 
-    Each constraint's substitution grows by one degree per step, so a sweep
-    to degree D expands every generator once.  The sweep holds no reference
-    to the relation, so the memo that keeps it makes no reference cycle.
+    Each half of a generator's substitution grows by one degree per step, from
+    one exponent table per degree, so a sweep to degree D expands every
+    generator once.  The sweep holds no reference to the relation, so the memo
+    that keeps it makes no reference cycle.
     """
-    constraints = []
-    for comp in generators:
-        d = comp.space.dim
-        m1 = [[comp.space.rows[k][i] for k in range(d)] for i in range(n)]
-        m2 = [[comp.space.rows[k][n + i] for k in range(d)] for i in range(n)]
-        constraints.append((d, _substitutions(m1), _substitutions(m2)))
+    halves = [[[[(k, r[h + i]) for k, r in enumerate(comp.space.rows) if r[h + i]] for i in range(n)]
+               for h in (0, n)] for comp in generators]
+    subs = [[{(0,) * n: {(0,) * comp.space.dim: 1}}] * 2 for comp in generators]
     for degree in count(0):
         mons = monomials(n, degree)
-        basis = tuple(tuple(1 if i == j else 0 for i in range(len(mons))) for j in range(len(mons)))
-        for d, subs1, subs2 in constraints:
-            sub1, sub2 = next(subs1), next(subs2)  # in step with degree, even past an empty basis
-            if not basis:
-                continue
-            delta = {}
-            for e in mons:
-                col = dict(sub1[e])
-                for texp, w in sub2[e].items():
-                    col[texp] = col.get(texp, 0) - w
-                delta[e] = {k: v for k, v in col.items() if v}
-            basis = _intersect_constraints(basis, delta, mons, d, degree)
-        yield _rows_to_polynomials(basis, mons, n)
+        if degree:
+            table = _degree_table(mons)
+            subs = [[_substitute(s, table, nz) for s, nz in zip(pair, nzs)] for pair, nzs in zip(subs, halves)]
+        pivots: dict[int, dict[int, int]] = {}
+        for pair in subs:
+            if len(pivots) == len(mons):  # the slice is already zero
+                break
+            rows: dict[tuple[int, ...], dict[int, int]] = {}
+            for col, e in enumerate(mons):
+                for sign, sub in zip((1, -1), pair):
+                    for texp, w in sub[e].items():
+                        row = rows.setdefault(texp, {})
+                        row[col] = row.get(col, 0) + sign * w
+            _eliminate(rows.values(), pivots)
+        yield _rows_to_polynomials(_kernel_rows(pivots, len(mons)), mons, n)
 
 
 def invariant_slices(relation: LagrangianEquivalenceRelation) -> Iterator[list[Polynomial]]:
@@ -345,7 +384,7 @@ def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> Discrimi
     t = Polynomial(n, {(0,) * n: 1})
     orbit = relation.discriminant()
     for h in orbit:
-        (normal,) = _nullspace(h.rows, n)
+        (normal,) = _kernel_rows(_eliminate(map(dict, map(enumerate, h.rows)), {}), n)
         t = t * Polynomial(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(normal)})
     lead = t.terms[max(t.terms)]  # T is homogeneous, so its lex-largest monomial leads in graded lex
     t = Polynomial(n, {e: c / lead for e, c in t.terms.items()})

@@ -20,7 +20,10 @@ on the gl(2|1) catalog file and on that file with its first root dropped,
 recorded before the seven report commands shared one envelope writer.
 One more pins the canonical rows of all 1000 seed-1 pairs that `verify
 monoid --seed 1` draws, recorded before the generator switched to integer
-draws and read g o E_V0 off the twisted iso-span.
+draws and read g o E_V0 off the twisted iso-span.  Two more pin `invariants`
+on gl(3|2) to degree 10 and on gl(3|3) to degree 8, recorded before the
+slice solver switched from dense per-generator nullspaces to one sparse
+elimination per degree.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ GOLDEN = {
     "gl-2-2 analyze d6 related": "9772da27331e93a39bb0161867ddb78d17a8876d01f7d711a83f4f8ba9c2b31c",
     "gl-3-2 analyze d6": "0faeb5e1f3fff2267a1439bf41fe66e08a3fcf318087e3e727e1a4005bbd3338",
     "gl-2-2 invariants d8": "2d9ae9e7ad08b2c83262707b3733f88506b2e79fc25b837b00ed908487c4e9dd",
+    "gl-3-2 invariants d10": "828a9b300ba85e23fb0c8478073afcb368a4072bf31eaa1b48e315611fc1c781",
+    "gl-3-3 invariants d8": "bd2fe4866f52147a1d1bedf956311b28ce54b6891d7b8b1cd29cb8a8a37e048d",
     "gl-2-2 discriminant": "bd91df6777e1839c917dae83b42c304935cc671591177979459d31a667870d78",
     "gl-3-2 discriminant": "61a90e53000387c8e6ab59e6a3abaea84b7bd54596043c9ff7f886605024dd08",
     "gl-4-1 wgrs relation": "64a8d760872a1fca625781cae291e8d6d74a9eb86b036ce305529b3a5c85f709",
@@ -106,12 +111,14 @@ GOLDEN = {
     "gl-2-1 wgrs validate first root dropped": "bacbbc4807cbe5c144279ffbd09939adab9c2907d52518e33de8fa006657751e",
 }
 
-# reports on larger systems: invariant slices of degree 6 to 8, then commands
+# reports on larger systems: invariant slices of degree 6 to 10, then commands
 # that no longer build the (w, S) description or the discriminant's slice
 LARGE_CASES = {
     "gl-2-2 analyze d6 related": ("gl-2-2", ["analyze", "--degree", "6", "--x=1,2,3,4", "--y=2,1,3,4"]),
     "gl-3-2 analyze d6": ("gl-3-2", ["analyze", "--degree", "6"]),
     "gl-2-2 invariants d8": ("gl-2-2", ["invariants", "--degree", "8"]),
+    "gl-3-2 invariants d10": ("gl-3-2", ["invariants", "--degree", "10"]),
+    "gl-3-3 invariants d8": ("gl-3-3", ["invariants", "--degree", "8"]),
     "gl-2-2 discriminant": ("gl-2-2", ["discriminant"]),
     "gl-3-2 discriminant": ("gl-3-2", ["discriminant"]),
     "gl-4-1 wgrs relation": ("gl-4-1", ["wgrs", "relation"]),

@@ -245,12 +245,12 @@ def test_separate_related_points(gl11):
 def test_separate_decides_related_points_by_membership_alone(monkeypatch):
     # a fresh relation: one whose slice memo is filled would sweep nothing anyway
     rel = catalog("gl", 2, 2).build_relation()
-    kernels = []
-    nullspace = invariants._nullspace
-    monkeypatch.setattr(invariants, "_nullspace",
-                        lambda rows, k: kernels.append(k) or nullspace(rows, k))
+    solved = []
+    kernel_rows = invariants._kernel_rows
+    monkeypatch.setattr(invariants, "_kernel_rows",
+                        lambda pivots, k: solved.append(k) or kernel_rows(pivots, k))
     assert separate(rel, (1, 2, 3, 4), (2, 1, 3, 4), 6).status == "equivalent"
-    assert kernels == []
+    assert solved == []
 
 
 # every related pair that `separate` is asked about in the CLI tests, the golden
@@ -481,21 +481,29 @@ def test_generators_and_all_components_give_the_same_slices(name, m, n, max_degr
 
 
 def test_inverse_generator_adds_no_constraints(monkeypatch):
-    # closure() lists the inverse of a 3-cycle right after it; on a slice that
-    # is already invariant under the cycle, the inverse's constraints all vanish
+    # closure() lists the inverse of a 3-cycle right after it; an f invariant
+    # under the cycle is invariant under its inverse, so the inverse's constraint
+    # rows all reduce to zero against the cycle's pivots
     form = BilinearForm.diagonal([1, 1, 1])
     cycle = Isometry(form, Matrix([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
     rel = closure(form, [graph(cycle)])
     assert len(rel.generators) == 2
     every = LagrangianEquivalenceRelation(form, rel.components)
     expected = list(islice(invariant_slices(every), 1, 5))
-    kernels = []
-    nullspace = invariants._nullspace
-    monkeypatch.setattr(invariants, "_nullspace",
-                        lambda rows, k: kernels.append(k) or nullspace(rows, k))
+    added = []
+    eliminate = invariants._eliminate
+
+    def count_pivots(rows, pivots):
+        before = len(pivots)
+        eliminate(rows, pivots)
+        added.append(len(pivots) - before)
+        return pivots
+
+    monkeypatch.setattr(invariants, "_eliminate", count_pivots)
     assert list(islice(invariant_slices(rel), 1, 5)) == expected
-    assert len(kernels) == 4  # one kernel per degree: the cycle's, not its inverse's
     assert [len(b) for b in expected] == [1, 2, 4, 5]  # cyclic orbits of monomials
+    # in each degree from 0, the cycle's constraints add every pivot and its inverse's none
+    assert added == [0, 0, 2, 0, 4, 0, 6, 0, 10, 0]
 
 
 def test_sweep_expands_each_degree_once(monkeypatch):
@@ -538,17 +546,18 @@ def test_interleaved_sweeps_and_a_sweep_after_separate_match_a_fresh_relation():
 def test_a_repeated_sweep_extends_only_past_the_memo(monkeypatch):
     rel = fresh_gl21()
     calls = []
-    intersect = invariants._intersect_constraints
-    monkeypatch.setattr(invariants, "_intersect_constraints",
-                        lambda *args: calls.append(args[-1]) or intersect(*args))
+    kernel_rows = invariants._kernel_rows
+    degree_of = {len(monomials(3, d)): d for d in range(8)}  # one kernel read-off per degree
+    monkeypatch.setattr(invariants, "_kernel_rows",
+                        lambda pivots, k: calls.append(degree_of[k]) or kernel_rows(pivots, k))
     first = list(islice(invariant_slices(rel), 5))
-    assert sorted(set(calls)) == [0, 1, 2, 3, 4]
+    assert calls == [0, 1, 2, 3, 4]
     calls.clear()
     assert list(islice(invariant_slices(rel), 5)) == first
     assert invariant_space(rel, 3) == first[3]
     assert calls == []
     invariant_space(rel, 6)
-    assert sorted(set(calls)) == [5, 6]
+    assert calls == [5, 6]
 
 
 def test_a_swept_relation_is_freed_without_the_cycle_collector():
@@ -577,17 +586,17 @@ def test_mutating_a_returned_slice_does_not_change_the_memo():
 def test_an_interrupted_sweep_is_started_over(monkeypatch):
     expected = list(islice(invariant_slices(fresh_gl21()), 5))
     rel = fresh_gl21()
-    intersect = invariants._intersect_constraints
+    kernel_rows = invariants._kernel_rows
 
-    def interrupt_at_degree_3(*args):
-        if args[-1] == 3:
+    def interrupt_at_degree_3(pivots, ncols):
+        if ncols == len(monomials(3, 3)):
             raise KeyboardInterrupt
-        return intersect(*args)
+        return kernel_rows(pivots, ncols)
 
-    monkeypatch.setattr(invariants, "_intersect_constraints", interrupt_at_degree_3)
+    monkeypatch.setattr(invariants, "_kernel_rows", interrupt_at_degree_3)
     with pytest.raises(KeyboardInterrupt):
         list(islice(invariant_slices(rel), 5))
-    monkeypatch.setattr(invariants, "_intersect_constraints", intersect)
+    monkeypatch.setattr(invariants, "_kernel_rows", kernel_rows)
     assert list(islice(invariant_slices(rel), 5)) == expected
 
 

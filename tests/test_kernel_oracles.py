@@ -2,7 +2,8 @@
 
 `Matrix` holds integers over one denominator, and `Matrix.inverse`,
 `solve_right`, `_nullspace`, `subspace_intersect`, `compose` and
-`LinearRelation.k2` all read their answers off `_echelon`.  Two
+`LinearRelation.k2` all read their answers off `_echelon`; the invariant
+solver's sparse elimination must reproduce `_echelon(_nullspace(...))`.  Two
 oracles compute the same objects by independent code: plain `Fraction`
 loops written out below, and sympy's exact linear algebra.  Any
 disagreement (including which error a singular, rank-deficient or
@@ -12,7 +13,7 @@ inconsistent system raises) is a bug in the representation or the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from lagrel.exact_linalg import (
     solve_right,
     subspace_intersect,
 )
+from lagrel.invariants import _eliminate, _kernel_rows
 from lagrel.linear_relations import Isometry, LinearRelation, compose, suite_form
 
 try:
@@ -445,3 +447,53 @@ def test_primitive_divides_out_the_signed_content(row, k):
     assert prim == _primitive(row) == _primitive([-x for x in row])
     scale = Fraction(next(x for x in row if x), next(x for x in prim if x))
     assert [Fraction(x) for x in row] == [scale * x for x in prim]
+
+
+# ---------------------------------------------------------------------------
+# The slice solver's sparse elimination (`invariants._eliminate`, read off by
+# `invariants._kernel_rows`) against `_echelon(_nullspace(...))` and sympy.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ncols, rows as {column: int}, split): dense or sparse rows with zero entries, zero and
+    repeated rows and negative leads, folded in two batches split at `split`."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    dense = draw(st.booleans())
+    value = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if rows and draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif dense:
+            rows.append(dict(enumerate(draw(st.lists(value, min_size=ncols, max_size=ncols)))))
+        else:
+            rows.append(draw(st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), value, max_size=3)))
+    return ncols, rows, draw(st.integers(min_value=0, max_value=len(rows)))
+
+
+@needs_sympy
+@settings(max_examples=250, deadline=None)
+@given(sparse_systems())
+@example((3, [], 0))  # no rows: the whole space
+@example((3, [{0: 1, 2: 1}, {1: -2, 2: 1}, {0: 2, 2: -4}], 1))  # full rank: no slice
+@example((4, [{}, {1: 0}, {0: -2, 3: 4}, {0: -2, 3: 4}, {0: 0, 1: 0, 2: 0, 3: 0}], 3))  # zero and repeated rows
+@example((4, [{0: -3, 1: 2, 3: -1}, {1: -1, 2: 5}], 0))  # negative leads
+def test_sparse_slice_solve_matches_echelon_nullspace_and_sympy(case):
+    ncols, rows, split = case
+    pivots = _eliminate(rows[split:], _eliminate(rows[:split], {}))
+    for c, r in pivots.items():  # primitive, keyed by the last nonzero, zero at every other pivot
+        assert max(r) == c and 0 not in r.values() and gcd(*r.values()) == 1
+        assert not any(k in r for k in pivots if k != c)
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    kernel = _kernel_rows(pivots, ncols)
+    assert kernel == _echelon(_nullspace(dense, ncols))
+    basis = sympy.Matrix(dense or [[0] * ncols]).nullspace()
+    expected = []
+    if basis:
+        for row in sympy.Matrix.hstack(*basis).T.rref()[0].tolist():
+            scale = lcm(*(int(x.q) for x in row))
+            ints = [int(x * scale) for x in row]
+            expected.append(tuple(x // gcd(*ints) for x in ints))
+    assert kernel == tuple(expected)
