@@ -6,8 +6,9 @@ equal subspaces therefore have identical (and identically hashable)
 representations, no matter how they were constructed.  Rank, inverses and
 solves read it directly; intersections, composites and kernels read the rows
 of a stacked block's echelon that vanish on its first block
-(`_eliminate_prefix`).  Nullspaces serve only `orth_complement`; the
-invariant solver runs its own sparse elimination.
+(`_eliminate_prefix`).  A nullspace is `_echelon`, then the free-column
+read-off `_free_columns`, which alone turns canonical rows into equations
+that decide membership.  The invariant solver runs its own sparse elimination.
 
 A `Matrix` M is held as one integer matrix over one denominator: `den` > 0
 and `ints` = den*M, with gcd(den, all of ints) = 1, which makes the pair
@@ -16,8 +17,8 @@ unique.  Products, transposes, solves and comparisons work on the integers.
 where results are read out (`Matrix.entries`, `Matrix.apply`,
 `BilinearForm.pairing`).  `_int_vector` reads a query point once into
 integers over one denominator, with no `Fraction` for a point of ints, and
-`Polynomial.evaluate` sums in integers over one denominator.  No floating
-point anywhere.
+`Polynomial.evaluate` and `separate` sum in integers over one denominator.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -158,28 +160,32 @@ def _unit_row(n: int, j: int) -> IntRow:
     return tuple(1 if i == j else 0 for i in range(n))
 
 
-def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
-    """Free-column basis of {x : M x = 0} for the matrix with the given rows.
-
-    One integer vector per non-pivot column j of _echelon(rows): nonzero at j,
-    zero at every other non-pivot column.  It is not canonical; callers that
-    need a canonical basis pass it through Subspace or _echelon.
-    """
-    ech = _echelon(rows)
-    pivots = [_pivot(r) for r in ech]
-    pivset = set(pivots)
+def _free_columns(ech: Sequence[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
+    """For each non-pivot column j of echelon rows (each zero at the others' pivots), an integer a,
+    nonzero at j and at no other non-pivot column, with a.r = 0 for every row r: a basis of
+    {x : M x = 0}, not canonical.  Of canonical rows of U they are equations: v in U iff all a.v = 0."""
+    hits: list = [[] for _ in range(ncols)]  # column j: (c, r[j], r[c]) per row r with r[j] != 0, c its pivot
+    for r in ech:
+        c, *rest = compress(count(), r)  # the nonzero columns of r, its pivot first
+        for j in rest:
+            hits[j].append((c, r[j], r[c]))
+        hits[c] = None
     out = []
-    for j in range(ncols):
-        if j in pivset:
-            continue
-        hits = [(r, c) for r, c in zip(ech, pivots) if r[j]]
-        scale = lcm(*(r[c] for r, c in hits))
-        vec = [0] * ncols
-        vec[j] = scale
-        for r, c in hits:
-            vec[c] = -r[j] * (scale // r[c])
-        out.append(tuple(vec))
+    for j, col in enumerate(hits):
+        if col is not None:
+            scale = lcm(*[p for _, _, p in col])
+            vec = [0] * ncols
+            vec[j] = scale
+            for c, x, p in col:
+                vec[c] = -x * (scale // p)
+            out.append(tuple(vec))
     return tuple(out)
+
+
+def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> tuple[IntRow, ...]:
+    """Free-column basis of {x : M x = 0} for the matrix with the given rows: `_echelon`, then
+    `_free_columns`.  Callers that need a canonical basis pass it through Subspace or _echelon."""
+    return _free_columns(_echelon(rows), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +413,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _subspace(ambient_dim: int, rows: tuple[IntRow, ...]) -> Subspace:
+    """The Subspace of rows that are already canonical (`_eliminate_prefix` rows), not echeloned again."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "rows", rows)
+    return s
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -420,7 +434,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if not a.rows or not b.rows:
         return Subspace(n)
-    return Subspace(n, _eliminate_prefix([r + r for r in a.rows] + [r + (0,) * n for r in b.rows], n))
+    return _subspace(n, _eliminate_prefix([r + r for r in a.rows] + [r + (0,) * n for r in b.rows], n))
 
 
 def basis_to_payload(s: Subspace) -> list[list[str]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_linalg import (
@@ -92,40 +92,23 @@ class Polynomial:
         return Polynomial(self.num_vars, terms)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        """The value at a point read once as integers p over d: the integer sum of
-        c.numerator * (L / c.denominator) * d^(D - |e|) * p^e over the terms c x^e, over L * d^D,
-        with L the lcm of the coefficient denominators and D the degree."""
+        """The value at a point, read once as integers over one denominator (see `_int_values`)."""
         d, p = _int_vector(point)
         if len(p) != self.num_vars:
             raise ValueError("point length disagrees with variable count")
-        den, deg = lcm(*(c.denominator for c in self.terms.values())), self.degree()
-        total = 0
-        for e, c in self.terms.items():
-            val = c.numerator * (den // c.denominator) * d ** (deg - sum(e))
-            for x, k in zip(p, e):
-                if k:
-                    val *= x ** k
-            total += val
+        den, deg, (total,) = self._int_values([(d, p)])
         return Fraction(total, den * d ** deg)
 
-    def compose_linear(self, m: Matrix) -> "Polynomial":
-        """Substitute x_i = sum_j m[i][j] t_j; result lives in m.cols variables."""
-        if m.rows != self.num_vars:
-            raise ValueError("substitution matrix has the wrong number of rows")
-        nonzeros = [[(j, w) for j, w in enumerate(row) if w] for row in m.ints]
-        sub = {(0,) * self.num_vars: {(0,) * m.cols: 1}}
-        terms: dict = {}
-        for d in range(self.degree() + 1):
-            if d:
-                sub = _substitute(sub, _degree_table(monomials(self.num_vars, d)), nonzeros)
-            acc: dict = {}
-            for e, c in self.terms.items():
-                if sum(e) == d:
-                    for texp, w in sub[e].items():
-                        acc[texp] = acc.get(texp, 0) + c * w
-            factor = m.den ** d
-            terms.update((texp, v / factor) for texp, v in acc.items())
-        return Polynomial(m.cols, terms)
+    def _int_values(self, points: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, int, list[int]]:
+        """L, D and, per point p/d, sum c.numerator * (L / c.denominator) * d^(D - |e|) * p^e over the
+        terms c x^e: the value times L * d^D, for L the lcm of the denominators and D the degree."""
+        den, deg = lcm(*(c.denominator for c in self.terms.values())), self.degree()
+        totals = [0] * len(points)
+        for e, c in self.terms.items():
+            num, short = c.numerator * (den // c.denominator), deg - sum(e)
+            for k, (d, p) in enumerate(points):
+                totals[k] += num * d ** short * prod(map(pow, p, e))
+        return den, deg, totals
 
     def coefficient_row(self, index: dict[tuple[int, ...], int], width: int) -> list[Fraction]:
         row = [Fraction(0)] * width
@@ -185,6 +168,26 @@ def polynomial_to_payload(poly: Polynomial) -> dict[str, str]:
 # the module docstring) go through one sparse elimination per degree, and the
 # slice is read off its free columns.
 # ---------------------------------------------------------------------------
+
+
+def _compose_linear(polys: Sequence[Polynomial], m: Matrix) -> list[Polynomial]:
+    """Each of polys with x_i = sum_j m[i][j] t_j substituted, in m.cols variables; the
+    substitution is expanded once, one degree at a time, for all of them."""
+    if any(p.num_vars != m.rows for p in polys):
+        raise ValueError("substitution matrix has the wrong number of rows")
+    nonzeros = [[(j, w) for j, w in enumerate(row) if w] for row in m.ints]
+    sub = {(0,) * m.rows: {(0,) * m.cols: 1}}
+    terms: list[dict] = [{} for _ in polys]
+    for d in range(max((p.degree() for p in polys), default=0) + 1):
+        if d:
+            sub = _substitute(sub, _degree_table(monomials(m.rows, d)), nonzeros)
+        factor = m.den ** d
+        for p, out in zip(polys, terms):  # a t-monomial of degree d gets terms of degree d only
+            for e, c in p.terms.items():
+                if sum(e) == d:
+                    for texp, w in sub[e].items():
+                        out[texp] = out.get(texp, 0) + c * w / factor
+    return [Polynomial(m.cols, t) for t in terms]
 
 
 def _degree_table(mons: Sequence[tuple[int, ...]]) -> list[tuple]:
@@ -392,15 +395,17 @@ def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> Discrimi
 
 
 def restriction_map(relation: LagrangianEquivalenceRelation, v0: Subspace, degree: int) -> Matrix:
-    """Matrix of restrict-to-V0-then-descend between the chosen graded bases."""
-    reduced = relation.reduce(v0)
+    """Matrix of restrict-to-V0-then-descend between the chosen graded bases.  The relation object
+    keeps its reduction by each V0, so the reduction's slice memo serves every degree."""
+    reductions = relation.__dict__.setdefault("_reductions", {})
+    reduced = reductions[v0] if v0 in reductions else reductions.setdefault(v0, relation.reduce(v0))
     q = quotient(relation.form, v0)
     source = invariant_space(relation, degree)
     target = invariant_space(reduced, degree)
     t_mons = monomials(q.dim, degree)
     t_index = {e: i for i, e in enumerate(t_mons)}
     target_rows = [p.coefficient_row(t_index, len(t_mons)) for p in target]
-    images = [f.compose_linear(q.section).coefficient_row(t_index, len(t_mons)) for f in source]
+    images = [f.coefficient_row(t_index, len(t_mons)) for f in _compose_linear(source, q.section)]
     # columns: the target basis, and one right-hand side per source image
     return solve_right(
         Matrix(target_rows, cols=len(t_mons)).transpose(),
@@ -423,15 +428,15 @@ def separate(relation: LagrangianEquivalenceRelation, x: Sequence[Rational],
     agrees on them by definition.  For unrelated points the search walks one
     sweep of slices and is a semi-decision bounded by d_max.
     """
-    x, y = tuple(x), tuple(y)  # a generator is read once; membership and evaluate read integers
+    x, y = tuple(x), tuple(y)  # a generator is read once; membership and the evaluation pass read integers
     if relation.membership(x, y):
         return Separation("equivalent")
+    (dx, _), (dy, _) = points = _int_vector(x), _int_vector(y)
     for d, basis in zip(range(1, d_max + 1), islice(invariant_slices(relation), 1, None)):
         for f in basis:
-            fx = f.evaluate(x)
-            fy = f.evaluate(y)
-            if fx != fy:
-                return Separation("separated", d, f, (fx, fy))
+            den, deg, (tx, ty) = f._int_values(points)
+            if tx * dy ** deg != ty * dx ** deg:  # f(x) = tx / (den dx^deg), f(y) = ty / (den dy^deg)
+                return Separation("separated", d, f, (Fraction(tx, den * dx ** deg), Fraction(ty, den * dy ** deg)))
     return Separation("exhausted")
 
 

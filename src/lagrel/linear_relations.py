@@ -22,8 +22,10 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _eliminate_prefix,
+    _free_columns,
     _int_vector,
     _matrix,
+    _subspace,
     as_vector,
     orth_complement,
     quotient,
@@ -193,7 +195,12 @@ class LinearRelation:
         its rows that vanish on the y block span the x with (x, 0) in L.
         """
         n = self.n
-        return Subspace(n, _eliminate_prefix((r[n:] + r[:n] for r in self.space.rows), n))
+        return _subspace(n, _eliminate_prefix((r[n:] + r[:n] for r in self.space.rows), n))
+
+    @cached_property
+    def _equations(self) -> tuple[tuple[int, ...], ...]:
+        """Integer rows a with (x, y) in L iff a.(x, y) = 0 for each, read off L's canonical rows once."""
+        return _free_columns(self.space.rows, 2 * self.n)
 
     @cached_property
     def is_isotropic(self) -> bool:
@@ -270,7 +277,7 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     zero = (0,) * n
     block = [r[n:] + r[:n] + zero for r in first.space.rows]
     block += [tuple(-y for y in r[:n]) + zero + r[n:] for r in second.space.rows]
-    return LinearRelation(first.form, Subspace(2 * n, _eliminate_prefix(block, n)))
+    return LinearRelation(first.form, _subspace(2 * n, _eliminate_prefix(block, n)))
 
 
 def idempotent_relation(form: BilinearForm, coisotropic: Subspace) -> LinearRelation:

@@ -23,7 +23,6 @@ from .exact_linalg import (
     _echelon,
     _int_product,
     _matrix,
-    _residual,
     orth_complement,
     quotient,
     subspace_intersect,
@@ -129,9 +128,16 @@ class LagrangianEquivalenceRelation:
         return tuple(sorted(out))
 
     def membership(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-        """Decide (x, y) in R by testing the integer pair's residual against each component."""
+        """Decide (x, y) in R on the integer pair by each component's equations a.(x, y) = 0, read
+        off on its first query; a component is left at its first equation that fails."""
         pair = _int_pair(x, y, self.n)
-        return any(_residual(pair, c.space.rows) is None for c in self.components)
+        for c in self.components:
+            for a in c._equations:
+                if sum(map(mul, a, pair)):
+                    break
+            else:
+                return True
+        return False
 
     def verify_closed(self) -> bool:
         """Audit closure under inverse and under composition of every pair, then

@@ -25,7 +25,9 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
+    _free_columns,
     _int_vector,
+    _pivot,
     _residual,
     as_vector,
     matrix_to_payload,
@@ -363,28 +365,39 @@ class RootSystem:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.
 
         One echelon per query holds the certificate rows d (p_i | e_i | 0), one per
-        pair p_i of S with d its denominator.  For each w in W, in order, the row
-        (w^-1 v' - v | 0 | 1), its head scaled to integers, is reduced against it
-        once: the head vanishes exactly when w^-1 v' - v lies in span S, and then
-        w^-1 v' - v = sum c_i p_i with c = -tail / (last * scale).  The c_i are
-        unique when S's pairs are independent; otherwise the echelon picks one.
+        pair p_i of S with d its denominator; the read-off of its rows that pivot in
+        the head gives one equation a.u = 0 of span S per free column.  For each w in
+        W, in order, u = w^-1 v' - v is built at the head pivots, then one free
+        coordinate per equation, and w is rejected at the first that fails.  The
+        first w that passes reduces (u | 0 | 1) against the certificate once: u =
+        sum c_i p_i with c = -tail / (last * scale).  The c_i are unique when S's
+        pairs are independent; otherwise the echelon picks one.
         """
         self.require_valid()
         (dv, iv), (dp, ip) = _int_vector(v), _int_vector(v_prime)
-        if len(iv) != self.dim or len(ip) != self.dim:
+        n = self.dim
+        if len(iv) != n or len(ip) != n:
             raise ValueError("vector length disagrees with form dimension")
         pairs = self.maximal_isosets(iv)[0]
         k = len(pairs)
         cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
                         for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))
+        head = [r[:n] for r in cert if any(r[:n])]
+        pivots = [_pivot(r) for r in head]  # u's coordinates are built in `order`, each checked by its equation
+        order = pivots + [j for j in range(n) if j not in pivots]
+        checks = [()] * len(pivots) + list(_free_columns(head, n))
         for w, w_inv in self._weyl_and_inverses:
-            # w^-1 v' - v, as integers over w_inv.den * dp * dv
+            # u = w^-1 v' - v, as integers over w_inv.den * dp * dv
             scale = w_inv.den * dp
-            diff = [dv * sum(map(mul, row, ip)) - scale * x for row, x in zip(w_inv.ints, iv)]
-            res = _residual(diff + [0] * k + [1], cert)
-            if not any(res[:self.dim]):
+            u = [0] * n
+            for i, a in zip(order, checks):
+                u[i] = dv * sum(map(mul, w_inv.ints[i], ip)) - scale * iv[i]
+                if sum(map(mul, a, u)):
+                    break
+            else:
+                res = _residual(u + [0] * k + [1], cert)
                 den = res[-1] * scale * dv
-                return True, (w, tuple(Fraction(-c, den) for c in res[self.dim:-1]))
+                return True, (w, tuple(Fraction(-c, den) for c in res[n:-1]))
         return False, None
 
     # -- reduction by an isotropic root -----------------------------------------------

@@ -25,6 +25,7 @@ from lagrel.exact_linalg import (
 )
 from lagrel.invariants import (
     Polynomial,
+    _compose_linear,
     Separation,
     contains_polynomial,
     discriminant_polynomial,
@@ -45,6 +46,11 @@ from lagrel.relation_monoid import LagrangianEquivalenceRelation, closure
 from lagrel.wgrs import catalog, rootsystem_from_payload
 
 
+def compose_linear(poly, m):
+    """poly with x = m t substituted: the package's one composition path on one polynomial."""
+    return _compose_linear([poly], m)[0]
+
+
 def reynolds_span(group, degree):
     """Oracle: span_rows of the group sums of every monomial of the degree."""
     n = group[0].form.dim
@@ -52,7 +58,7 @@ def reynolds_span(group, degree):
     for e in monomials(n, degree):
         total = Counter()
         for s in group:
-            total.update(Polynomial(n, {e: 1}).compose_linear(s.matrix).terms)
+            total.update(compose_linear(Polynomial(n, {e: 1}), s.matrix).terms)
         sums.append(Polynomial(n, total))
     return span_rows(sums, degree)
 
@@ -69,7 +75,7 @@ def verify_invariants(relation, polys):
         rows = comp.space.rows
         m1 = Matrix([[r[i] for r in rows] for i in range(n)], cols=len(rows))
         m2 = Matrix([[r[n + i] for r in rows] for i in range(n)], cols=len(rows))
-        if any(f.compose_linear(m1) != f.compose_linear(m2) for f in polys):
+        if any(compose_linear(f, m1) != compose_linear(f, m2) for f in polys):
             return False
     return True
 
@@ -125,7 +131,7 @@ def test_weyl_invariants_examples():
     basis = weyl_invariant_space([ident, swap], 2)
     assert len(basis) == 2
     for f in basis:
-        assert f.compose_linear(swap.matrix) == f
+        assert compose_linear(f, swap.matrix) == f
 
 
 def test_weyl_invariants_match_reynolds(gl21, gl22):
@@ -307,6 +313,39 @@ def test_separate_exhausted_below_the_first_separating_degree(gl21):
     assert separate(gl21, x, y, d_max=1).degree == 1
 
 
+def test_separate_values_are_the_returned_polynomials_values():
+    # points with denominators, some given as "p/q" strings: the values separate reports are
+    # the returned polynomial's own, and every invariant before it agrees on the two points
+    rng = random.Random(41)
+    for entry in (("gl", 2, 1), ("gl", 2, 2), ("osp", 3, 2)):
+        rel = built_relation(*entry)
+        separated = 0
+        for i in range(12):
+            x, y = ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rel.n)] for _ in "xy")
+            res = separate(rel, [str(v) for v in x] if i % 2 else x, y, 4)
+            if res.status == "separated":
+                f = res.polynomial
+                assert all(type(v) is Fraction for v in res.values)
+                assert res.values == (f.evaluate(x), f.evaluate(y)) and res.values[0] != res.values[1]
+                earlier = [g for d in range(1, res.degree + 1) for g in invariant_space(rel, d)]
+                assert all(g.evaluate(x) == g.evaluate(y) for g in earlier[:earlier.index(f)])
+                separated += 1
+        assert separated >= 6, entry
+
+
+def test_restriction_map_sweeps_each_relation_once(monkeypatch):
+    # d = 0..8 on a fresh gl(3|2): the relation and its reduction each read off 9 slices
+    rel = catalog("gl", 3, 2).build_relation()
+    _, witness = rel.is_one_regular()
+    solved = []
+    kernel_rows = invariants._kernel_rows
+    monkeypatch.setattr(invariants, "_kernel_rows", lambda pivots, k: solved.append(k) or kernel_rows(pivots, k))
+    ranks = [restriction_map(rel, witness, d).rank() for d in range(9)]
+    assert len(solved) == 18
+    reduced = rel.reduce(witness)
+    assert ranks == [len(b) for b in islice(invariant_slices(reduced), 9)]  # surjective in every degree
+
+
 def test_product_with_point_relation(gl11):
     trivial = closure(BilinearForm.diagonal([1]), [])
     for d in range(4):
@@ -340,7 +379,7 @@ def test_polynomial_algebra_basics():
     assert p == Polynomial(2, {(2, 0): 1, (0, 2): -1})
     assert p.evaluate((3, 2)) == 5
     assert p.degree() == 2 and term_degrees(p) == {2}
-    sub = p.compose_linear(Matrix([[1, 1], [1, -1]]))
+    sub = compose_linear(p, Matrix([[1, 1], [1, -1]]))
     assert sub == Polynomial(2, {(1, 1): 4})
 
 
@@ -378,8 +417,10 @@ def test_compose_linear_matches_evaluation_with_fractions():
             terms[tuple(exp)] = frac()
         p = Polynomial(n, terms)
         m = Matrix([[frac() for _ in range(k)] for _ in range(n)], cols=k)
-        q = p.compose_linear(m)
+        q = compose_linear(p, m)
         assert q.num_vars == k
+        # one expansion of m for several polynomials gives what each gets alone
+        assert _compose_linear([p, p * p, Polynomial(n)], m) == [q, compose_linear(p * p, m), Polynomial(k)]
         for _ in range(5):
             t = [frac() for _ in range(k)]
             assert q.evaluate(t) == p.evaluate(m.apply(t))
@@ -438,9 +479,9 @@ def test_evaluate_matches_the_fraction_oracle():
 
 def test_compose_linear_with_zero_variables():
     p = Polynomial(2, {(0, 0): Fraction(3, 2), (1, 1): 5})
-    assert p.compose_linear(Matrix([(), ()], cols=0)) == Polynomial(0, {(): Fraction(3, 2)})
+    assert compose_linear(p, Matrix([(), ()], cols=0)) == Polynomial(0, {(): Fraction(3, 2)})
     c = Polynomial(0, {(): Fraction(3, 2)})
-    assert c.compose_linear(Matrix((), cols=2)) == Polynomial(2, {(0, 0): Fraction(3, 2)})
+    assert compose_linear(c, Matrix((), cols=2)) == Polynomial(2, {(0, 0): Fraction(3, 2)})
 
 
 def test_restriction_map_empty_source_and_target_shapes(gl11):

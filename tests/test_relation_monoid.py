@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import pytest
 
-from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, orth_complement, quotient
+from lagrel import linear_relations
+from lagrel.exact_linalg import BilinearForm, Matrix, Subspace, _pivot, orth_complement, quotient, rational
 from lagrel.linear_relations import (
     Isometry,
     LinearRelation,
@@ -26,7 +29,7 @@ from lagrel.relation_monoid import (
 )
 from lagrel import catalog
 
-from conftest import built_relation, full_space
+from conftest import EXCEPTIONAL, built_relation, exceptional_relation, full_space
 
 GL11 = BilinearForm.diagonal([1, -1])
 
@@ -167,6 +170,66 @@ def test_membership(gl11):
     assert not gl11.membership((1, 0), (0, 1))
     with pytest.raises(ValueError):
         gl11.membership((1, 0, 0), (0, 0, 1))
+
+
+def reference_membership(rel, x, y):
+    """Oracle: (x, y) lies on a component L iff L's rows and the pair span an n-dimensional space."""
+    pair = [*map(rational, x), *map(rational, y)]
+    den = lcm(*(v.denominator for v in pair))
+    pair = [int(v * den) for v in pair]
+    return any(Subspace(2 * rel.n, [*c.space.rows, pair]).dim == rel.n for c in rel.components)
+
+
+def membership_points(rel, seed, rounds=12):
+    """Seeded pairs: a point of a random component, integral in even rounds and rational in odd
+    ones (then half given as "p/q" strings), and the same point moved in one coordinate."""
+    rng = random.Random(seed)
+    n = rel.n
+    for i in range(rounds):
+        rows = rng.choice(rel.components).space.rows
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if i % 2 else rng.randint(-3, 3) for _ in rows]
+        point = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(2 * n)]
+        moved = list(point)
+        moved[rng.randrange(2 * n)] += rng.choice((1, Fraction(1, 3)))
+        for p in (point, moved):
+            yield ([str(v) for v in p[:n]] if i % 4 == 3 else p[:n]), p[n:]
+
+
+MEMBERSHIP_CASES = {
+    **{f"{name}-{m}-{k}": partial(built_relation, name, m, k)
+       for name, m, k in (("gl", 2, 1), ("gl", 3, 2), ("osp", 3, 2), ("osp", 4, 2))},
+    **{name: partial(exceptional_relation, name) for name in EXCEPTIONAL},
+    "gl21 rebased": lambda: rebased(built_relation("gl", 2, 1), 3),
+    "gl11 x gl21": lambda: product_of(("gl", 1, 1), ("gl", 2, 1)),
+    "gl11 x gl21 rebased": lambda: semiregularity_case("gl11 x gl21 rebased"),
+}
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_CASES)
+def test_membership_matches_the_rank_oracle(name):
+    rel = MEMBERSHIP_CASES[name]()
+    if "rebased" in name:  # canonical rows with non-unit pivots, from a form with denominators
+        assert any(r[_pivot(r)] != 1 for c in rel.components for r in c.space.rows)
+        assert rel.form.gram.den != 1
+    answers = set()
+    for x, y in membership_points(rel, f"membership-{name}"):
+        got = rel.membership(x, y)
+        assert got == reference_membership(rel, x, y), (x, y)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def test_membership_reads_each_components_equations_once(monkeypatch):
+    read = []
+    free_columns = linear_relations._free_columns
+    monkeypatch.setattr(linear_relations, "_free_columns", lambda rows, k: read.append(rows) or free_columns(rows, k))
+    rel = catalog("gl", 2, 1).build_relation()
+    assert closure(rel.form, rel.generators) == rel
+    assert read == []
+    for _ in range(2):  # an unrelated pair visits every component
+        assert not rel.membership((1, 0, 0), (0, 0, 1))
+    assert rel.membership((0, 1, 0), (0, 1, 0))
+    assert sorted(read) == sorted(c.space.rows for c in rel.components)
 
 
 def test_reduce_by_full_space_is_identity(gl21):

@@ -541,14 +541,31 @@ def membership_cases(rs, seed):
             yield x, y
 
 
+def isoset_cases(rs, seed):
+    """20 seeded rounds of (x, y) pairs with x orthogonal to every pair of a random iso-set of two
+    or more pairs S, y once w(x + sum t_i p_i) over S and once random; none without such an S."""
+    rng = random.Random(seed)
+    large = [s for s in rs.iso_sets if len(s) >= 2]
+    for _ in range(20 if large else 0):
+        s = rng.choice(large)
+        perp = orth_complement(rs.form, Subspace.from_vectors(s, rs.dim)).basis.entries
+        c, t = [rng.randint(-2, 2) for _ in perp], [rng.randint(-3, 3) for _ in s]
+        x = tuple(sum(ci * r[i] for ci, r in zip(c, perp)) for i in range(rs.dim))
+        shifted = [a + sum(ti * p[i] for ti, p in zip(t, s)) for i, a in enumerate(x)]
+        for y in (rng.choice(rs.weyl_group).apply(shifted), tuple(rng.randint(-2, 2) for _ in range(rs.dim))):
+            yield x, y
+
+
 REBASED = [("rebased", "gl", 2, 1), ("rebased", "gl", 2, 2), ("rebased", "gl", 3, 2), ("rebased", "osp", 3, 2)]
 
 
-@pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), "dependent"] + REBASED,
+@pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), ("osp", 4, 2),
+                                   "dependent"] + REBASED,
                          ids=lambda e: "-".join(map(str, e)) if e in REBASED else None)
 def test_class_membership_matches_the_per_element_solve(entry):
     # the closure decides every answer; the per-element solve, which needs independent
     # pairs, also fixes the witness.  The rebased systems' iso pairs have denominators.
+    # Where an iso-set has two or more pairs, some witness uses k >= 2 of them.
     if entry == "dependent":
         rs = rootsystem_from_payload(DEPENDENT_ISOSET)
     elif entry in REBASED:
@@ -557,8 +574,8 @@ def test_class_membership_matches_the_per_element_solve(entry):
     else:
         rs = catalog(*entry)
     rel = rs.build_relation()
-    answers = set()
-    for x, y in membership_cases(rs, f"class-membership-{entry}"):
+    answers, widths = set(), set()
+    for x, y in [*membership_cases(rs, f"class-membership-{entry}"), *isoset_cases(rs, f"isosets-{entry}")]:
         got = rs.class_membership(x, y)
         assert got[0] == rel.membership(x, y), (x, y)
         if entry != "dependent":
@@ -568,10 +585,12 @@ def test_class_membership_matches_the_per_element_solve(entry):
                 assert got[1][0].matrix == want[1][0].matrix and got[1][1] == want[1][1], (x, y)
         if got[0]:
             assert_witness(rs, x, y, got[1])
+            widths.add(len(got[1][1]))
         else:
             assert got[1] is None
         answers.add(got[0])
     assert answers == {True, False}
+    assert max(widths) >= 2 or all(len(s) < 2 for s in rs.iso_sets)
 
 
 def test_class_membership_relates_zero_and_an_isotropic_root_of_a_dependent_isoset():
