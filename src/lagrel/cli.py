@@ -294,7 +294,7 @@ def suite_monoid(seed: int, pairs: int = 1000) -> dict[str, tuple[int, int]]:
 
 def wgrs_checks(rs: RootSystem) -> Iterator[tuple[str, bool]]:
     """(name, ok) per check of `verify wgrs` on rs, each run inside the call it names: build_relation(check=True)
-    (the description against the closure of relation_generators()), maximal_isosets(), and
+    (verify_closed() on the described relation), maximal_isosets(), and
     two_step_witness on every ordered pair of isotropic roots; ok: a true value, nothing raised."""
     yield "component_description", _holds(lambda: rs.build_relation(check=True))
     yield "isoset_cardinality", _holds(rs.maximal_isosets)

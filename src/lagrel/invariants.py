@@ -33,6 +33,7 @@ from .exact_linalg import (
     Subspace,
     Vector,
     _echelon,
+    _free_columns,
     _int_rows,
     _int_vector,
     _pivot,
@@ -42,7 +43,7 @@ from .exact_linalg import (
     rational,
     solve_right,
 )
-from .linear_relations import Isometry, LinearRelation, graph
+from .linear_relations import Isometry, LinearRelation, _int_pair, graph
 from .relation_monoid import LagrangianEquivalenceRelation
 
 
@@ -387,7 +388,7 @@ def discriminant_polynomial(relation: LagrangianEquivalenceRelation) -> Discrimi
     t = Polynomial(n, {(0,) * n: 1})
     orbit = relation.discriminant()
     for h in orbit:
-        (normal,) = _kernel_rows(_eliminate(map(dict, map(enumerate, h.rows)), {}), n)
+        (normal,) = _free_columns(h.rows, n)
         t = t * Polynomial(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(normal)})
     lead = t.terms[max(t.terms)]  # T is homogeneous, so its lex-largest monomial leads in graded lex
     t = Polynomial(n, {e: c / lead for e, c in t.terms.items()})
@@ -424,19 +425,19 @@ def separate(relation: LagrangianEquivalenceRelation, x: Sequence[Rational],
              y: Sequence[Rational], d_max: int = 6) -> Separation:
     """Search for an invariant separating x from y, degree by degree.
 
-    Related points get "equivalent" from membership alone: every invariant
-    agrees on them by definition.  For unrelated points the search walks one
-    sweep of slices and is a semi-decision bounded by d_max.
+    The pair is read once, over one denominator q.  Related points get "equivalent" from
+    membership alone: every invariant agrees on them by definition.  For unrelated points
+    the search walks one sweep of slices and is a semi-decision bounded by d_max.
     """
-    x, y = tuple(x), tuple(y)  # a generator is read once; membership and the evaluation pass read integers
-    if relation.membership(x, y):
+    q, pair = _int_pair(x, y, relation.n)
+    if relation._contains_int_pair(pair):
         return Separation("equivalent")
-    (dx, _), (dy, _) = points = _int_vector(x), _int_vector(y)
+    points = (q, pair[:relation.n]), (q, pair[relation.n:])
     for d, basis in zip(range(1, d_max + 1), islice(invariant_slices(relation), 1, None)):
         for f in basis:
             den, deg, (tx, ty) = f._int_values(points)
-            if tx * dy ** deg != ty * dx ** deg:  # f(x) = tx / (den dx^deg), f(y) = ty / (den dy^deg)
-                return Separation("separated", d, f, (Fraction(tx, den * dx ** deg), Fraction(ty, den * dy ** deg)))
+            if tx != ty:  # f(x) = tx / (den q^deg) and f(y) = ty / (den q^deg)
+                return Separation("separated", d, f, (Fraction(tx, den * q ** deg), Fraction(ty, den * q ** deg)))
     return Separation("exhausted")
 
 

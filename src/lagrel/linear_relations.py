@@ -146,12 +146,12 @@ def _sorted_group(isos: Sequence[Isometry]) -> tuple[Isometry, ...]:
     return tuple(sorted(isos, key=lambda g: tuple(x * (big // g.matrix.den) for row in g.matrix.ints for x in row)))
 
 
-def _int_pair(x: Sequence[Rational], y: Sequence[Rational], n: int) -> list[int]:
-    """The integer row dx*dy*(x, y) of a pair of points of V, each read once (ValueError unless dim V = n)."""
+def _int_pair(x: Sequence[Rational], y: Sequence[Rational], n: int) -> tuple[int, list[int]]:
+    """q = dx*dy and the integer row q*(x, y) of a pair of points of V, each read once (ValueError unless dim V = n)."""
     (dx, ix), (dy, iy) = _int_vector(x), _int_vector(y)
     if len(ix) != n or len(iy) != n:
         raise ValueError("vector length disagrees with relation dimension")
-    return [a * dy for a in ix] + [b * dx for b in iy]
+    return dx * dy, [a * dy for a in ix] + [b * dx for b in iy]
 
 
 class LinearRelation:

@@ -1,10 +1,10 @@
 """Lagrangian equivalence relations as finite closed component sets.
 
 A relation R is stored as the deduplicated set of its Lagrangian components,
-each a canonical subspace of V x V.  Closure is a breadth-first walk over
-words in the generators (the word set of an inverse-closed generating family
-is automatically closed under composition and inverse), stopped by a hard
-bound on the components and one on the BFS depth (MAX_ROUNDS).
+each a canonical subspace of V x V.  Closure is a breadth-first walk over words
+in the generators and their inverses (words concatenate, so the word set is
+closed under composition and inverse), stopped by a hard bound on the components
+and one on the BFS depth (MAX_ROUNDS); verify_closed() audits a set by that walk.
 """
 
 from __future__ import annotations
@@ -128,9 +128,11 @@ class LagrangianEquivalenceRelation:
         return tuple(sorted(out))
 
     def membership(self, x: Sequence[Rational], y: Sequence[Rational]) -> bool:
-        """Decide (x, y) in R on the integer pair by each component's equations a.(x, y) = 0, read
-        off on its first query; a component is left at its first equation that fails."""
-        pair = _int_pair(x, y, self.n)
+        """Decide (x, y) in R on the pair read once into integers, by each component's equations."""
+        return self._contains_int_pair(_int_pair(x, y, self.n)[1])
+
+    def _contains_int_pair(self, pair: Sequence[int]) -> bool:
+        """Some component's equations a.(x, y) = 0, read off on its first query, hold on the row q*(x, y)."""
         for c in self.components:
             for a in c._equations:
                 if sum(map(mul, a, pair)):
@@ -140,14 +142,13 @@ class LagrangianEquivalenceRelation:
         return False
 
     def verify_closed(self) -> bool:
-        """Audit closure under inverse and under composition of every pair, then
-        that the generators generate every component (weyl_group and
-        invariant_slices rely on both)."""
-        comps, spaces = self.components, self._spaces
-        closed = (all(inverse(c).space in spaces for c in comps)
-                  and all(compose(a, b).space in spaces for a in comps for b in comps))
-        # reached only when closed, so the closure of the generators stays inside the set
-        return closed and closure(self.form, self.generators) == self
+        """The one audit that the set is closed and generated (weyl_group and invariant_slices rely on
+        both): the closure walk from the diagonal, bounded by len(self), reaches all of it and nothing
+        else.  False when the walk hits that bound, or MAX_ROUNDS (only above 10,000 components)."""
+        try:
+            return closure(self.form, self.generators, len(self)) == self
+        except ClosureBoundExceeded:
+            return False
 
     # -- reduction ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ Weyl reflections together with the translation idempotents E_{alpha-perp}
 for isotropic alpha; build_relation reads its components graph(w) o E_{S-perp}
 off w in W and iso-sets S.  Its generators are the simple reflections and one
 E_{alpha-perp} per W-orbit of isotropic pairs; build_relation(check=True), which
-`verify wgrs` runs, is the one comparison of their closure with the description.
+`verify wgrs` runs, audits the description with verify_closed(): it must be their closure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .relation_monoid import (
     LagrangianEquivalenceRelation,
     _admit,
     _linked_classes,
-    closure,
 )
 
 
@@ -345,8 +344,7 @@ class RootSystem:
                        check: bool = False) -> LagrangianEquivalenceRelation:
         """The components graph(w) o E_{S-perp} over iso-sets S and w in W, each read off E's
         rows, bounded as by closure (W is walked first, under its own bound) and generated by
-        relation_generators(); with check=True, AssertionError unless their closure has the
-        same components."""
+        relation_generators(); check=True audits it with verify_closed(), AssertionError if not."""
         if max_components <= 0:
             raise ValueError("closure bounds must be positive")
         self.require_valid()
@@ -357,7 +355,7 @@ class RootSystem:
             for w in self.weyl_group:
                 _admit(pool, _then_isometry(e, w.matrix), max_components)
         rel = LagrangianEquivalenceRelation(self.form, pool.values(), gens)
-        if check and closure(self.form, gens, max_components) != rel:
+        if check and not rel.verify_closed():
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 

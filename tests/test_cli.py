@@ -373,9 +373,9 @@ def test_negative_degree_exit_1(tmp_path, capsys):
 # which must be the same with and without python -O
 BROKEN_CHECKS = {
     "closure description": ("""
-from lagrel import wgrs
+from lagrel import relation_monoid
 from lagrel.cli import suite_wgrs
-wgrs.closure = lambda form, generators, max_components: None
+relation_monoid.closure = lambda form, generators, max_components: None
 print(suite_wgrs(0)["component_description"])
 """, "(0, 13)\n"),
     "idempotent collapse": ("""

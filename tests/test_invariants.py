@@ -13,7 +13,7 @@ import pytest
 
 from conftest import built_relation
 from test_golden_reports import POINTS
-from lagrel import invariants
+from lagrel import invariants, linear_relations
 from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
@@ -257,6 +257,30 @@ def test_separate_decides_related_points_by_membership_alone(monkeypatch):
                         lambda pivots, k: solved.append(k) or kernel_rows(pivots, k))
     assert separate(rel, (1, 2, 3, 4), (2, 1, 3, 4), 6).status == "equivalent"
     assert solved == []
+
+
+def test_separate_reads_each_point_once(monkeypatch):
+    # membership and the evaluation pass share one integer pair over q = dx * dy, so a
+    # point given as a one-shot iterator of "p/q" strings is read from rationals once
+    reads = []
+    int_vector = linear_relations._int_vector
+
+    def spy(vec):
+        items = list(vec)
+        reads.append(items)
+        return int_vector(items)
+
+    monkeypatch.setattr(linear_relations, "_int_vector", spy)
+    monkeypatch.setattr(invariants, "_int_vector", spy)
+    rel = catalog("gl", 2, 1).build_relation()  # fresh, so the sweep runs inside the call
+    for x, y, status in ((["1/2", "0", "0"], ["0", "0", "1/3"], "separated"),
+                         (["1/2", "-2/3", "1"], ["-2/3", "1/2", "1"], "equivalent")):
+        reads.clear()
+        res = separate(rel, iter(x), iter(y), 4)
+        assert reads == [x, y]
+        assert res.status == status and res == separate(rel, x, y, 4)
+        if status == "separated":  # x0 + x1 + x2, each value over its own denominator
+            assert (res.degree, res.values) == (1, (Fraction(1, 2), Fraction(1, 3)))
 
 
 # every related pair that `separate` is asked about in the CLI tests, the golden

@@ -11,7 +11,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from conftest import EXCEPTIONAL, built_relation, exceptional
+from conftest import EXCEPTIONAL, built_relation, exceptional, exceptional_relation
 from lagrel import exact_linalg
 from lagrel.exact_linalg import (
     BilinearForm,
@@ -29,11 +29,13 @@ from lagrel.linear_relations import (
     ClosureBoundExceeded,
     Isometry,
     compose,
+    diagonal,
     generate_group,
     graph,
     idempotent_relation,
+    inverse,
 )
-from lagrel.relation_monoid import _linked_classes, closure
+from lagrel.relation_monoid import LagrangianEquivalenceRelation, _linked_classes, closure
 from lagrel.wgrs import (
     RootSystem,
     catalog,
@@ -367,14 +369,70 @@ DESCRIBED_SYSTEMS = ([("gl", m, n) for m in range(6) for n in range(6) if 1 <= m
 @pytest.mark.parametrize("entry", DESCRIBED_SYSTEMS, ids=str)
 def test_description_is_the_closure(entry):
     # build_relation reads the components off the (w, S) description; the closure of
-    # the generators is the independent reference, and verify_closed() audits the
-    # smaller sets (F(4)'s 864 components would take over a minute)
+    # the generators is the independent reference, and verify_closed() audits every set
     rs = exceptional(entry) if isinstance(entry, str) else catalog(*entry)
     rel = rs.build_relation()
     reference = closure(rs.form, rs.relation_generators())
     assert (rel.components, rel.generators) == (reference.components, reference.generators)
-    if len(rel) <= 96:
-        assert rel.verify_closed()
+    assert rel.verify_closed()
+
+
+def described_relation(entry):
+    return exceptional_relation(entry) if isinstance(entry, str) else built_relation(*entry)
+
+
+def closed_by_pairs(rel):
+    """The audit verify_closed() replaced, kept as its oracle: every inverse and every pairwise
+    composite of components lies in the set, then the closure of the generators is the set."""
+    comps = rel.components
+    return (all(inverse(c) in rel for c in comps)
+            and all(compose(a, b) in rel for a in comps for b in comps)
+            and closure(rel.form, rel.generators) == rel)
+
+
+@pytest.mark.parametrize("entry", [e for e in DESCRIBED_SYSTEMS if e != "F(4)"], ids=str)
+def test_verify_closed_matches_the_pairwise_oracle_on_described_systems(entry):
+    # every described system but F(4) (864 components) has at most 120
+    rel = described_relation(entry)
+    assert len(rel) <= 120
+    assert rel.verify_closed() and closed_by_pairs(rel)
+
+
+def test_verify_closed_matches_the_pairwise_oracle_on_a_product():
+    prod = built_relation("gl", 1, 1).product(built_relation("gl", 2, 1))
+    assert len(prod) == 12
+    assert prod.verify_closed() and closed_by_pairs(prod)
+
+
+SEEDED_SOURCES = [("gl", 1, 1), ("gl", 2, 1), ("gl", 1, 2), ("gl", 2, 2), ("osp", 1, 2), ("osp", 3, 2),
+                  "D(2|1;2)", "G(3)"]
+
+
+def seeded_component_sets(seed, count):
+    """count component sets, each a described relation of SEEDED_SOURCES with 0-3 non-diagonal
+    components dropped, and the surviving generators or, on every other round over the sources,
+    a random subset of them."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rnd, k = divmod(i, len(SEEDED_SOURCES))
+        rel = described_relation(SEEDED_SOURCES[k])
+        unit = diagonal(rel.form)
+        others = [c for c in rel.components if c.space != unit.space]
+        dropped = {c.space for c in rng.sample(others, rng.randint(0, min(3, len(others))))}
+        gens = [g for g in rel.generators if g.space not in dropped]
+        if rnd % 2:
+            gens = rng.sample(gens, rng.randint(0, len(gens)))
+        yield LagrangianEquivalenceRelation(rel.form, [c for c in rel.components if c.space not in dropped], gens)
+
+
+def test_verify_closed_matches_the_pairwise_oracle_on_seeded_sets():
+    # the walk agrees with the old audit on closed sets, sets missing components, and
+    # sets whose generators reach only part of them
+    verdicts = []
+    for rel in seeded_component_sets(37, 96):
+        verdicts.append(rel.verify_closed())
+        assert verdicts[-1] == closed_by_pairs(rel), rel
+    assert verdicts.count(False) >= 30 and verdicts.count(True) >= 10
 
 
 def test_class_membership_examples(gl11):
