@@ -414,7 +414,7 @@ class Subspace:
 
 
 def _subspace(ambient_dim: int, rows: tuple[IntRow, ...]) -> Subspace:
-    """The Subspace of rows that are already canonical (`_eliminate_prefix` rows), not echeloned again."""
+    """The Subspace of rows that are already canonical (such as `_eliminate_prefix` rows), not echeloned again."""
     s = object.__new__(Subspace)
     object.__setattr__(s, "ambient_dim", ambient_dim)
     object.__setattr__(s, "rows", rows)

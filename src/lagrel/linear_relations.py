@@ -25,6 +25,7 @@ from .exact_linalg import (
     _free_columns,
     _int_vector,
     _matrix,
+    _primitive,
     _subspace,
     as_vector,
     orth_complement,
@@ -179,13 +180,13 @@ class LinearRelation:
 
     @cached_property
     def p1(self) -> Subspace:
-        first, _ = self._halves()
-        return Subspace(self.n, first)
+        """The heads of L's canonical rows that pivot in the first block, made primitive: canonical already."""
+        n = self.n
+        return _subspace(n, tuple(_primitive(r[:n]) for r in self.space.rows if any(r[:n])))
 
     @cached_property
     def p2(self) -> Subspace:
-        _, second = self._halves()
-        return Subspace(self.n, second)
+        return Subspace(self.n, self._halves()[1])
 
     @cached_property
     def k2(self) -> Subspace:

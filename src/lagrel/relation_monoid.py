@@ -132,7 +132,11 @@ class LagrangianEquivalenceRelation:
         return self._contains_int_pair(_int_pair(x, y, self.n)[1])
 
     def _contains_int_pair(self, pair: Sequence[int]) -> bool:
-        """Some component's equations a.(x, y) = 0, read off on its first query, hold on the row q*(x, y)."""
+        """Some component's equations a.(x, y) = 0, read off on its first query, hold on the row q*(x, y).
+        Each component is isotropic for <v|v'> - <w|w'>, so none does unless <x|x> = <y|y>."""
+        n, norm = self.n, self.form.int_pairing
+        if norm(pair[:n], pair[:n]) != norm(pair[n:], pair[n:]):
+            return False
         for c in self.components:
             for a in c._equations:
                 if sum(map(mul, a, pair)):

@@ -76,6 +76,7 @@ class RootSystem:
                 raise ValueError("roots must be nonzero")
         self.form = form
         self.roots = tuple(vecs)
+        self._class_plans: dict[int, tuple] = {}  # class_membership's plans, by v's orthogonality mask
 
     @property
     def dim(self) -> int:
@@ -102,6 +103,10 @@ class RootSystem:
     def _iso_pair_ints(self) -> dict[Vector, tuple[int, list[int]]]:
         """Each of iso_pairs, in order, to its denominator d and integer row d*p."""
         return {p: _int_vector(p) for p in self.iso_pairs}
+
+    def _orth_mask(self, iv: Sequence[int]) -> int:
+        """The bit mask of the positions in iso_pairs of the pairs orthogonal to the integer row iv."""
+        return sum(1 << i for i, (_, ip) in enumerate(self._iso_pair_ints.values()) if not self.form.int_pairing(ip, iv))
 
     @cached_property
     def _iso_set_masks(self) -> tuple[int, ...]:
@@ -213,14 +218,13 @@ class RootSystem:
         Orthogonality to v and containment are tested on integers; a v of the wrong length raises ValueError.
         """
         self.require_valid()
-        candidates = list(zip(self.iso_sets, self._iso_set_masks))
+        orth = -1  # every bit set: no pair is excluded
         if v is not None:
             _, iv = _int_vector(v)
             if len(iv) != self.dim:
                 raise ValueError("vector length disagrees with form dimension")
-            pair = self.form.int_pairing
-            orth = sum(1 << i for i, (_, ip) in enumerate(self._iso_pair_ints.values()) if pair(ip, iv) == 0)
-            candidates = [(s, m) for s, m in candidates if m & orth == m]
+            orth = self._orth_mask(iv)
+        candidates = [(s, m) for s, m in zip(self.iso_sets, self._iso_set_masks) if m & orth == m]
         maximal = tuple(s for s, m in candidates if not any(m & t == m != t for _, t in candidates))
         if v is None and len({len(s) for s in maximal}) > 1:
             raise AssertionError("maximal iso-sets of different cardinality")
@@ -359,32 +363,47 @@ class RootSystem:
             raise AssertionError("closure disagrees with the Weyl/iso-set description")
         return rel
 
+    def _class_plan(self, iv: Sequence[int]) -> tuple:
+        """class_membership's plan for v, kept by v's orthogonality mask and shared by the masks
+        whose first maximal iso-set S is the same: (S, the echelon of rows d (p_i | e_i | 0), d the
+        denominator of the pair p_i, u's coordinates in `order`, head pivots first, and the
+        equation of span S each completes, one per free column of the head)."""
+        orth = self._orth_mask(iv)
+        if orth not in self._class_plans:
+            pairs = self.maximal_isosets(iv)[0]
+            plan = next((p for p in self._class_plans.values() if p[0] == pairs), None)
+            if plan is None:
+                n, k = self.dim, len(pairs)
+                cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
+                                for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))
+                head = [r[:n] for r in cert if any(r[:n])]
+                pivots = [_pivot(r) for r in head]
+                order = pivots + [j for j in range(n) if j not in pivots]
+                plan = pairs, cert, order, [()] * len(pivots) + list(_free_columns(head, n))
+            self._class_plans[orth] = plan
+        return self._class_plans[orth]
+
     def class_membership(self, v: Sequence[Rational], v_prime: Sequence[Rational]) -> tuple[bool, tuple[Isometry, tuple[Fraction, ...]] | None]:
         """Decide v' in W(v + span S) for one maximal iso-set S orthogonal to v.
 
-        One echelon per query holds the certificate rows d (p_i | e_i | 0), one per
-        pair p_i of S with d its denominator; the read-off of its rows that pivot in
-        the head gives one equation a.u = 0 of span S per free column.  For each w in
-        W, in order, u = w^-1 v' - v is built at the head pivots, then one free
-        coordinate per equation, and w is rejected at the first that fails.  The
-        first w that passes reduces (u | 0 | 1) against the certificate once: u =
-        sum c_i p_i with c = -tail / (last * scale).  The c_i are unique when S's
-        pairs are independent; otherwise the echelon picks one.
+        W acts by isometries and span S is totally isotropic and orthogonal to v, so
+        a pair with <v|v> != <v'|v'> is rejected once W is built (an oversized W still
+        raises) but before it is scanned.  Otherwise, with S's _class_plan, u = w^-1 v'
+        - v is built in `order` for each w in W, in order, and w is rejected at the
+        first failing equation.  The first w that passes reduces (u | 0 | 1) against
+        the certificate once: u = sum c_i p_i with c = -tail / (last * scale).  The
+        c_i are unique when S's pairs are independent; otherwise the echelon picks one.
         """
         self.require_valid()
         (dv, iv), (dp, ip) = _int_vector(v), _int_vector(v_prime)
         n = self.dim
         if len(iv) != n or len(ip) != n:
             raise ValueError("vector length disagrees with form dimension")
-        pairs = self.maximal_isosets(iv)[0]
-        k = len(pairs)
-        cert = _echelon(p + [d * (j == i) for j in range(k)] + [0]
-                        for i, (d, p) in enumerate(map(self._iso_pair_ints.get, pairs)))
-        head = [r[:n] for r in cert if any(r[:n])]
-        pivots = [_pivot(r) for r in head]  # u's coordinates are built in `order`, each checked by its equation
-        order = pivots + [j for j in range(n) if j not in pivots]
-        checks = [()] * len(pivots) + list(_free_columns(head, n))
-        for w, w_inv in self._weyl_and_inverses:
+        weyl, pair = self._weyl_and_inverses, self.form.int_pairing
+        if dp * dp * pair(iv, iv) != dv * dv * pair(ip, ip):
+            return False, None
+        _, cert, order, checks = self._class_plan(iv)
+        for w, w_inv in weyl:
             # u = w^-1 v' - v, as integers over w_inv.den * dp * dv
             scale = w_inv.den * dp
             u = [0] * n
@@ -393,7 +412,7 @@ class RootSystem:
                 if sum(map(mul, a, u)):
                     break
             else:
-                res = _residual(u + [0] * k + [1], cert)
+                res = _residual(u + [0] * len(cert) + [1], cert)
                 den = res[-1] * scale * dv
                 return True, (w, tuple(Fraction(-c, den) for c in res[n:-1]))
         return False, None

@@ -23,7 +23,11 @@ monoid --seed 1` draws, recorded before the generator switched to integer
 draws and read g o E_V0 off the twisted iso-span.  Two more pin `invariants`
 on gl(3|2) to degree 10 and on gl(3|3) to degree 8, recorded before the
 slice solver switched from dense per-generator nullspaces to one sparse
-elimination per degree.
+elimination per degree.  Seven more pin point queries: `wgrs classes` on
+gl(3|2) and osp(4|2) for a related pair, an unrelated pair with
+<v|v> = <v'|v'> and one whose norms differ, and `separate` on gl(2|1) for a
+pair whose norms differ, recorded before those queries rejected a pair
+whose norms differ without scanning W or the components.
 """
 
 from __future__ import annotations
@@ -109,6 +113,25 @@ GOLDEN = {
     "gl-1-1 x gl-2-1 analyze": "3482404e57e14f6217822334af651bfb7938eb58020e413220273c7ed1634608",
     "gl-2-1 wgrs validate": "0080cb1cf8d072773398eb9c39eeff5e24a9e19f43ec749b0fca65af2a3aadcc",
     "gl-2-1 wgrs validate first root dropped": "bacbbc4807cbe5c144279ffbd09939adab9c2907d52518e33de8fa006657751e",
+    "gl-3-2 classes related": "d7d1b53ab02cfe6d4d14aa49cca4a6677f8616dc15a6a794360d99f1f4878778",
+    "gl-3-2 classes equal norms": "b40b500a00b1efd63d4494297a3fdde214c4eb6af1a427b7ac6a52197b8b10a0",
+    "gl-3-2 classes norms differ": "b40b500a00b1efd63d4494297a3fdde214c4eb6af1a427b7ac6a52197b8b10a0",
+    "osp-4-2 classes related": "6c9e393ab5c15b2883fcfeb2591f373ee87acdc937ab1d82f7ebae4a59249420",
+    "osp-4-2 classes equal norms": "3c75b6d7c1d8a15966602080d98df854ce364f92b15eee12de072ea2750a244e",
+    "osp-4-2 classes norms differ": "3c75b6d7c1d8a15966602080d98df854ce364f92b15eee12de072ea2750a244e",
+    "gl-2-1 separate norms differ": "677dd14845efb8e10a03e3029d7bfb5eeab79be8e372a8c23a2f9db6cf883caa",
+}
+
+# name -> (catalog entry, command): a related pair (its witness has one coefficient),
+# an unrelated pair of equal norms and one whose norms differ
+POINT_QUERIES = {
+    "gl-3-2 classes related": (("gl", 3, 2), ["wgrs", "classes", "--v=1,2,4,-4,7", "--vprime=9/2,1,2,7,-9/2"]),
+    "gl-3-2 classes equal norms": (("gl", 3, 2), ["wgrs", "classes", "--v=1,2,3,4,5", "--vprime=0,0,3,6,0"]),
+    "gl-3-2 classes norms differ": (("gl", 3, 2), ["wgrs", "classes", "--v=1,2,3,4,5", "--vprime=1,2,3,4,6"]),
+    "osp-4-2 classes related": (("osp", 4, 2), ["wgrs", "classes", "--v=2,5,-2", "--vprime=5,3,3"]),
+    "osp-4-2 classes equal norms": (("osp", 4, 2), ["wgrs", "classes", "--v=1,2,3", "--vprime=0,0,2"]),
+    "osp-4-2 classes norms differ": (("osp", 4, 2), ["wgrs", "classes", "--v=1,2,3", "--vprime=1,2,4"]),
+    "gl-2-1 separate norms differ": (("gl", 2, 1), ["separate", "--x=1/2,1,0", "--y=1,0,0"]),
 }
 
 # reports on larger systems: invariant slices of degree 6 to 10, then commands
@@ -182,6 +205,20 @@ def test_slice_report_bytes(tmp_path):
         path = tmp_path / f"{system}.json"
         if not path.exists():
             assert main(["wgrs", "build", "gl", m, n, "--out", str(path)]) == 0
+        k = 2 if argv[0] == "wgrs" else 1
+        out = tmp_path / "report.json"
+        assert main(argv[:k] + [str(path)] + argv[k:] + ["--out", str(out)]) == 0, name
+        if _sha256(out) != GOLDEN[name]:
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_point_query_report_bytes(tmp_path):
+    mismatched = []
+    for name, (entry, argv) in POINT_QUERIES.items():
+        path = tmp_path / ("%s-%d-%d.json" % entry)
+        if not path.exists():
+            assert main(["wgrs", "build", *map(str, entry), "--out", str(path)]) == 0
         k = 2 if argv[0] == "wgrs" else 1
         out = tmp_path / "report.json"
         assert main(argv[:k] + [str(path)] + argv[k:] + ["--out", str(out)]) == 0, name

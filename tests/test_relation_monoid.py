@@ -20,6 +20,8 @@ from lagrel.linear_relations import (
     generate_group,
     graph,
     idempotent_relation,
+    inverse,
+    random_pairs,
 )
 from lagrel.relation_monoid import (
     ClosureBoundExceeded,
@@ -226,8 +228,10 @@ def test_membership_reads_each_components_equations_once(monkeypatch):
     rel = catalog("gl", 2, 1).build_relation()
     assert closure(rel.form, rel.generators) == rel
     assert read == []
-    for _ in range(2):  # an unrelated pair visits every component
-        assert not rel.membership((1, 0, 0), (0, 0, 1))
+    assert not rel.membership((1, 0, 0), (0, 0, 1))  # <x|x> != <y|y>: rejected before any equation
+    assert read == []
+    for _ in range(2):  # an unrelated pair of equal norms visits every component
+        assert not rel.membership((1, 0, 0), (1, 1, 1))
     assert rel.membership((0, 1, 0), (0, 1, 0))
     assert sorted(read) == sorted(c.space.rows for c in rel.components)
 
@@ -351,6 +355,28 @@ def rebased(rel, seed):
     form = BilinearForm(t_inv.transpose() @ rel.form.gram @ t_inv)
     comps = [LinearRelation(form, Subspace(2 * n, _map_halves(c.space.rows, n, t))) for c in rel.components]
     return LagrangianEquivalenceRelation(form, comps)
+
+
+def p1_cases():
+    """The seed 0-2 pairs of `verify monoid` with each pair's composite and inverse, then every
+    component of gl(3|2), osp(4|2), G(3) and a rebased gl(2|1)."""
+    for seed in range(3):
+        for _, a, b in random_pairs(seed, 60):
+            yield from (a, b, compose(a, b), inverse(a), inverse(b))
+    for rel in (built_relation("gl", 3, 2), built_relation("osp", 4, 2), exceptional_relation("G(3)"),
+                rebased(built_relation("gl", 2, 1), 5)):
+        yield from rel.components
+
+
+def test_p1_matches_the_echelon_of_the_first_halves():
+    # p1 reads L's canonical rows that pivot in the first block; the oracle echelons every first half
+    scaled = False
+    for rel in p1_cases():
+        n = rel.n
+        want = Subspace(n, [r[:n] for r in rel.space.rows])
+        assert rel.p1 == want and rel.p1.rows == want.rows, rel.space.rows
+        scaled |= [r[:n] for r in rel.space.rows if any(r[:n])] != list(want.rows)
+    assert scaled  # some heads have a content to divide out
 
 
 # a product of 1-regular relations is 1-semiregular by definition; each one was

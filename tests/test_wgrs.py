@@ -12,7 +12,7 @@ from itertools import combinations, islice
 import pytest
 
 from conftest import EXCEPTIONAL, built_relation, exceptional, exceptional_relation
-from lagrel import exact_linalg
+from lagrel import exact_linalg, wgrs
 from lagrel.exact_linalg import (
     BilinearForm,
     Matrix,
@@ -617,6 +617,19 @@ def isoset_cases(rs, seed):
 REBASED = [("rebased", "gl", 2, 1), ("rebased", "gl", 2, 2), ("rebased", "gl", 3, 2), ("rebased", "osp", 3, 2)]
 
 
+def query_root_system(entry):
+    """A fresh root system for a catalog entry, an EXCEPTIONAL name, "dependent" or a REBASED entry."""
+    if entry == "dependent":
+        return rootsystem_from_payload(DEPENDENT_ISOSET)
+    if entry in REBASED:
+        return rebased(catalog(*entry[1:]), f"rebased-{entry[1:]}")
+    return exceptional(entry) if entry in EXCEPTIONAL else catalog(*entry)
+
+
+def entry_id(entry):
+    return "-".join(map(str, entry)) if isinstance(entry, tuple) else entry
+
+
 @pytest.mark.parametrize("entry", [("gl", 3, 2), ("gl", 2, 2), ("osp", 3, 2), ("gl", 3, 0), ("osp", 4, 2),
                                    "dependent"] + REBASED,
                          ids=lambda e: "-".join(map(str, e)) if e in REBASED else None)
@@ -624,13 +637,9 @@ def test_class_membership_matches_the_per_element_solve(entry):
     # the closure decides every answer; the per-element solve, which needs independent
     # pairs, also fixes the witness.  The rebased systems' iso pairs have denominators.
     # Where an iso-set has two or more pairs, some witness uses k >= 2 of them.
-    if entry == "dependent":
-        rs = rootsystem_from_payload(DEPENDENT_ISOSET)
-    elif entry in REBASED:
-        rs = rebased(catalog(*entry[1:]), f"rebased-{entry[1:]}")
+    rs = query_root_system(entry)
+    if entry in REBASED:
         assert any(x.denominator != 1 for p in rs.iso_pairs for x in p)
-    else:
-        rs = catalog(*entry)
     rel = rs.build_relation()
     answers, widths = set(), set()
     for x, y in [*membership_cases(rs, f"class-membership-{entry}"), *isoset_cases(rs, f"isosets-{entry}")]:
@@ -658,6 +667,72 @@ def test_class_membership_relates_zero_and_an_isotropic_root_of_a_dependent_isos
     ok, witness = rs.class_membership(*pair)
     assert ok
     assert_witness(rs, *pair, witness)
+
+
+NORM_SYSTEMS = ([("gl", m, n) for m in range(6) for n in range(6) if 1 <= m + n <= 5] + [("osp", 4, 2)]
+                + EXCEPTIONAL + ["dependent"] + REBASED)
+
+
+@pytest.mark.parametrize("entry", NORM_SYSTEMS, ids=entry_id)
+def test_norm_exit_is_sound(entry):
+    # related pairs keep <x|x>, so they never take the exit; on a pair whose norms
+    # differ, the per-element solve scans all of W and finds nothing either
+    rs = query_root_system(entry)
+    rng = random.Random(f"norms-{entry}")
+    norm = lambda v: rs.form.pairing(v, v)
+    differ = 0
+    for _ in range(20):
+        x = atypical_point(rs, rng)
+        y = related_point(rs, rng, x)
+        assert norm(x) == norm(y) and rs.class_membership(x, y)[0], (x, y)
+        z = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rs.dim))
+        if norm(z) != norm(x):
+            differ += 1
+            assert rs.class_membership(x, z) == reference_class_membership(rs, x, z) == (False, None), (x, z)
+    assert differ
+
+
+@pytest.mark.parametrize("entry, x, y", [(("gl", 3, 0), (1, 2, 3), (-1, 2, 3)), (("gl", 2, 1), (1, 0, 0), (1, 1, 1))])
+def test_unrelated_pairs_of_equal_norms_scan_all_of_w(entry, x, y):
+    # (2, y_2, ...) has <z|z> = <x|x> + 3, so it is rejected before the scan
+    rs = catalog(*entry)
+    elements, seen = rs._weyl_and_inverses, []
+    for z, scanned in ((y, len(elements)), ((2,) + y[1:], 0)):
+        seen.clear()
+        rs.__dict__["_weyl_and_inverses"] = (seen.append(e) or e for e in elements)  # records what a scan reaches
+        assert rs.class_membership(x, z) == (False, None) and len(seen) == scanned, z
+    assert rs.form.pairing(x, x) == rs.form.pairing(y, y)
+    assert not built_relation(*entry).membership(x, y)
+
+
+def answer_key(answer):
+    ok, witness = answer
+    return ok, witness and (witness[0].matrix, witness[1])
+
+
+@pytest.mark.parametrize("entry", [("gl", 3, 2), ("osp", 4, 2), "dependent", ("rebased", "gl", 3, 2)], ids=entry_id)
+def test_class_plans_are_built_once_per_isoset(entry, monkeypatch):
+    # a warm system answers shuffled queries as a fresh one per query does, and
+    # echelons one certificate per first maximal iso-set S that a query reaches
+    rs = query_root_system(entry)
+    cases = [*membership_cases(rs, f"plans-{entry}"), *isoset_cases(rs, f"plan-isosets-{entry}")]
+    random.Random(f"shuffle-{entry}").shuffle(cases)
+    echelons, echelon = [], wgrs._echelon
+    monkeypatch.setattr(wgrs, "_echelon", lambda rows: echelons.append(1) or echelon(rows))
+    warm = [answer_key(rs.class_membership(x, y)) for x, y in cases]
+    planned = {rs.maximal_isosets(x)[0] for x, y in cases if rs.form.pairing(x, x) == rs.form.pairing(y, y)}
+    assert len(echelons) == len(planned) == len({id(p) for p in rs._class_plans.values()}) <= len(rs.iso_sets)
+    assert len(rs._class_plans) > len(planned) or entry == "dependent"  # some masks share a plan
+    for (x, y), want in zip(cases, warm):
+        assert answer_key(query_root_system(entry).class_membership(x, y)) == want, (x, y)
+    assert {ok for ok, _ in warm} == {True, False}
+
+
+def test_norm_exit_comes_after_the_weyl_group_bound(monkeypatch):
+    # |W| of gl(3|0) is 6, past a bound of 5: a pair whose norms differ still raises
+    monkeypatch.setattr(wgrs, "MAX_COMPONENTS", 5)
+    with pytest.raises(ClosureBoundExceeded, match="Weyl group generation exceeded its bound"):
+        catalog("gl", 3, 0).class_membership((1, 2, 3), (1, 2, 4))
 
 
 A2_SKEWED = {
